@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +25,6 @@ EXIT_FORMAT = 2
 EXIT_VERIFY = 3
 
 BEV_RESOLUTION = 0.1  # meters per pixel
-
-
-@dataclass
-class RunConfig:
-    k: int = 3
-    d: float = np.inf
-    d_o: int = 8
-    mlp: tuple[int, ...] | None = None
-    seed: int = 0
-    roi: geometry.RegionOfInterest = geometry.RegionOfInterest()
-    n_sample: int = 16384
-    mode: str = "v1"
-    lam: float = 1.0
-    alpha: float = 0.25
-    gamma: float = 2.0
 
 
 def _worker_count() -> int:
@@ -176,6 +160,8 @@ def cmd_maskgen(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import check_focal_gradients, check_pacf_gradients
 
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     pacf_err = check_pacf_gradients(n_instances=args.instances, seed=args.seed)
     focal_err = check_focal_gradients(n_instances=args.instances, seed=args.seed)
     print(f"pacf max relative gradient error: {pacf_err:.3e}")
@@ -272,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi", type=str, default=None)
     p.set_defaults(func=cmd_bev_render)
 
-    # loss knobs accepted everywhere they make sense
-    for sp in sub.choices.values():
-        sp.add_argument("--alpha", type=float, default=0.25)
-        sp.add_argument("--gamma", type=float, default=2.0)
-        sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     return parser
 
 

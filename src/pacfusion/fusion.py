@@ -9,7 +9,8 @@ to a D_o vector; the operator output is the concatenation
 
 of width 2*D_o + D_i. Forward and backward passes are implemented by
 hand in float64; gradients are exact reverse-mode, with the max-pool
-routing gradient to the lowest argmax slot.
+routing gradient to the lowest argmax slot. The MLP runs once over the
+N*K neighbor rows as one (N*K, width) matrix: one GEMM per layer.
 """
 
 from __future__ import annotations
@@ -199,6 +200,22 @@ class _ForwardCache:
     d_o: int = 0
 
 
+def _sorted_slot_sum(v: np.ndarray) -> np.ndarray:
+    """Sum (N, K, D) over the slots in ascending order, so any slot order gives the same bits.
+
+    An odd-even transposition network of min/max sorts the K slices
+    exactly; they are then added in order, starting from +0.0.
+    """
+    s = [v[:, j] for j in range(v.shape[1])]
+    for r in range(len(s)):
+        for j in range(r % 2, len(s) - 1, 2):
+            s[j], s[j + 1] = np.minimum(s[j], s[j + 1]), np.maximum(s[j], s[j + 1])
+    total = s[0] + 0.0
+    for x in s[1:]:
+        total += x
+    return total
+
+
 def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeatures, _ForwardCache]:
     """Forward pass; returns output rows and the cache for backward."""
     rows = nf.rows
@@ -210,22 +227,27 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
         raise ValueError(f"aggregation has {params.k} scalars but K={k} neighbor slots")
 
     cache = _ForwardCache(rows=rows, d_o=spec.d_o)
-    h = rows
+    h = rows.reshape(n * k, d_i)
     n_layers = len(params.weights)
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
         cache.activations.append(h)
-        z = h @ w + b
+        z = h @ w
+        z += b
         cache.preacts.append(z)
         h = np.maximum(z, 0.0) if li < n_layers - 1 else z
-    y_cc_k = h  # (N, K, D_o)
+    y_cc_k = h.reshape(n, k, spec.d_o)
     cache.y_cc_k = y_cc_k
 
-    # sum the slot outputs in sorted order so the result is bit-identical
-    # under any slot permutation, not merely equal up to rounding
-    y_cc = np.sort(y_cc_k, axis=1).sum(axis=1)
-    y_a = np.sort(params.aggr_weights[None, :, None] * y_cc_k, axis=1).sum(axis=1)
-    cache.argmax = np.argmax(rows, axis=1)  # first occurrence = lowest slot
-    y_pool = np.take_along_axis(rows, cache.argmax[:, None, :], axis=1)[:, 0, :]
+    y_cc = _sorted_slot_sum(y_cc_k)
+    y_a = _sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
+    # running max over the slots; strict > keeps ties on the lowest slot
+    y_pool = rows[:, 0].copy()
+    cache.argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
+    for s in range(1, k):
+        better = rows[:, s] > y_pool
+        np.maximum(y_pool, rows[:, s], out=y_pool)
+        # s exceeds every slot stored so far, so max() stores it exactly where better
+        np.maximum(cache.argmax, better * cache.argmax.dtype.type(s), out=cache.argmax)
 
     values = np.concatenate([y_cc, y_a, y_pool], axis=1)
     dims = FusionDims(c_seg=nf.dims.c_seg, c_lidar=nf.dims.c_lidar, d_o=spec.d_o)
@@ -249,29 +271,22 @@ def pacf_backward(
     # aggregation scalars: y_a = sum_k w_k y_cc_k
     grad_aggr = np.einsum("nd,nkd->k", g_a, cache.y_cc_k)
 
-    # per-slot gradient entering the MLP head
-    g_y = g_cc[:, None, :] + params.aggr_weights[None, :, None] * g_a[:, None, :]
+    # per-slot gradient entering the MLP head, one row per neighbour
+    g = (g_cc[:, None, :] + params.aggr_weights[None, :, None] * g_a[:, None, :]).reshape(n * k, d_o)
 
-    grad_w = [np.zeros_like(w) for w in params.weights]
-    grad_b = [np.zeros_like(b) for b in params.biases]
-    g = g_y
+    grad_w, grad_b = [], []
     n_layers = len(params.weights)
     for li in range(n_layers - 1, -1, -1):
         if li < n_layers - 1:
-            g = g * (cache.preacts[li] > 0)
-        a = cache.activations[li]
-        grad_w[li] = np.einsum("nki,nkj->ij", a, g)
-        grad_b[li] = g.sum(axis=(0, 1))
+            np.multiply(g, cache.preacts[li] > 0, out=g)
+        grad_w.insert(0, cache.activations[li].T @ g)
+        grad_b.insert(0, g.sum(axis=0))
         g = g @ params.weights[li].T
 
-    grad_rows = g
+    grad_rows = g.reshape(n, k, d_i)
     # max-pool routes to the lowest argmax slot per channel
-    np.put_along_axis(
-        grad_rows,
-        cache.argmax[:, None, :],
-        np.take_along_axis(grad_rows, cache.argmax[:, None, :], axis=1) + g_pool[:, None, :],
-        axis=1,
-    )
+    for s in range(k):
+        np.add(grad_rows[:, s], g_pool, out=grad_rows[:, s], where=cache.argmax == s)
     return grad_w, grad_b, grad_aggr, grad_rows
 
 
@@ -340,7 +355,12 @@ def load_params(path) -> PacfParams:
     if version != PARAMS_VERSION:
         raise FormatError(f"parameter container: unsupported version {version}")
     pos = 14 + 4 * n_widths
+    if len(raw) < pos:
+        raise FormatError("parameter container: truncated header")
     widths = struct.unpack(f"<{n_widths}I", raw[14:pos])
+    n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:])) + k
+    if len(raw) != pos + 8 * n_values:
+        raise FormatError("parameter container: payload size mismatch")
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         nbytes = 8 * fan_in * fan_out
@@ -348,8 +368,9 @@ def load_params(path) -> PacfParams:
         pos += nbytes
         biases.append(np.frombuffer(raw[pos : pos + 8 * fan_out], dtype="<f8").copy())
         pos += 8 * fan_out
-    aggr = np.frombuffer(raw[pos : pos + 8 * k], dtype="<f8").copy()
-    pos += 8 * k
-    if pos != len(raw) or len(aggr) != k:
-        raise FormatError("parameter container: payload size mismatch")
-    return PacfParams(weights=weights, biases=biases, aggr_weights=aggr)
+    aggr = np.frombuffer(raw[pos:], dtype="<f8").copy()
+    try:
+        MlpSpec(widths=widths)
+        return PacfParams(weights=weights, biases=biases, aggr_weights=aggr)
+    except ValueError as exc:
+        raise FormatError(f"parameter container: {exc}") from None

@@ -95,6 +95,22 @@ def test_fuse_with_checkpoint(tmp_path, synthetic_frame):
     assert kitti.read_feature_map(out_path).data.shape[2] == 2 * 3 + 4
 
 
+def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
+    f = synthetic_frame
+    ckpt = f["dir"] / "params.pacw"
+    fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5), ckpt)
+    raw = ckpt.read_bytes()
+    for cut in (20, 100):  # inside the widths, inside the first weight matrix
+        ckpt.write_bytes(raw[:cut])
+        code = run(
+            [
+                "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
+                "--params", ckpt, "--out", f["dir"] / "fused4.pacf", "--n-sample", 64,
+            ]
+        )
+        assert code == cli.EXIT_FORMAT
+
+
 def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     f = synthetic_frame
     out_mask = f["dir"] / "mask.pgm"
@@ -120,6 +136,11 @@ def test_gradcheck_pass(capsys):
     code, out = run(["gradcheck", "--instances", 3, "--seed", 2], capsys)
     assert code == cli.EXIT_OK
     assert "PASS" in out.out
+
+
+def test_gradcheck_rejects_no_instances():
+    for n in (0, -1):
+        assert run(["gradcheck", "--instances", n]) == cli.EXIT_USAGE
 
 
 def test_bev_render(tmp_path, capsys, synthetic_frame):

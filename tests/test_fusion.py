@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from pacfusion import fusion, geometry, kdtree
 from pacfusion.geometry import PixelCoords
+from pacfusion.kitti import FormatError
 from pacfusion.types import FeatureMap, FusionDims, PointCloud
 
 from conftest import make_calib, random_cloud
@@ -32,6 +35,9 @@ def naive_forward(rows, weights, biases, aggr):
         y_pool = [max(rows[i, slot, c] for slot in range(k)) for c in range(d_i)]
         out[i] = np.array(y_cc + y_a + y_pool)
     return out
+
+
+BACKBONE = FusionDims(c_seg=4, c_lidar=128, d_o=64)
 
 
 def make_nf(rng, n, k, dims):
@@ -73,6 +79,17 @@ class TestForward:
         want = naive_forward(nf.rows, params.weights, params.biases, params.aggr_weights)
         np.testing.assert_allclose(out.values, want, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_naive_oracle_backbone_width(self, rng, k):
+        nf = make_nf(rng, n=2, k=k, dims=BACKBONE)
+        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), k, seed=k)
+        params.aggr_weights = rng.normal(size=k)
+        for b in params.biases:
+            b[:] = rng.normal(size=b.shape)
+        out, _ = fusion.pacf_forward(nf, params)
+        want = naive_forward(nf.rows, params.weights, params.biases, params.aggr_weights)
+        np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-12)
+
     def test_shape_mismatch_message(self, rng):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=2)
         nf = make_nf(rng, 2, 3, dims)
@@ -105,6 +122,29 @@ class TestForward:
             out, _ = fusion.pacf_forward(nf2, params)
             # equal w_k: the whole output is slot-permutation invariant
             np.testing.assert_array_equal(out.values, base.values)
+
+    def test_permutation_invariance_backbone_width(self, rng):
+        k = 5
+        nf = make_nf(rng, 64, k, BACKBONE)
+        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), k, seed=6)
+        params.aggr_weights = np.full(k, 0.37)
+        base, _ = fusion.pacf_forward(nf, params)
+        for _ in range(5):
+            perm = rng.permutation(k)
+            nf2 = fusion.NeighborFeatures(
+                rows=nf.rows[:, perm], valid=nf.valid[:, perm], dims=BACKBONE
+            )
+            out, _ = fusion.pacf_forward(nf2, params)
+            np.testing.assert_array_equal(out.values, base.values)
+
+    def test_sorted_slot_sum_matches_sort_then_sum(self, rng):
+        # np.sort then sum is the reference order; bits must agree, signed zeros included
+        for k in (1, 2, 3, 5, 7):
+            v = rng.normal(size=(6, k, 4))
+            v[0] = -0.0
+            v[1, ::2] = 0.0
+            want = np.sort(v, axis=1).sum(axis=1)
+            np.testing.assert_array_equal(fusion._sorted_slot_sum(v).view(np.int64), want.view(np.int64))
 
     def test_permutation_changes_attentive_part(self, rng):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=3)
@@ -163,6 +203,31 @@ class TestBackward:
 
         assert check_pacf_gradients(n_instances=20, seed=11) < 1e-4
 
+    def test_finite_differences_wide_hidden(self):
+        from pacfusion.gradcheck import FD_STEP, random_instance, rel_error
+
+        rng = np.random.default_rng(21)
+        nf, params = random_instance(rng, k=3, c_seg=4, c_lidar=16, d_o=8, hidden=64)
+        g_out = rng.normal(size=(nf.rows.shape[0], nf.dims.d_i + 2 * params.spec.d_o))
+        _, cache = fusion.pacf_forward(nf, params)
+        gw, gb, _, _ = fusion.pacf_backward(cache, params, g_out)
+
+        def objective() -> float:
+            return float(np.sum(fusion.pacf_forward(nf, params)[0].values * g_out))
+
+        worst = 0.0
+        for arr, grad in zip([*params.weights, *params.biases], [*gw, *gb]):
+            flat, gflat = arr.ravel(), grad.ravel()
+            for j in rng.choice(flat.size, size=min(flat.size, 40), replace=False):
+                orig = flat[j]
+                flat[j] = orig + FD_STEP
+                f_plus = objective()
+                flat[j] = orig - FD_STEP
+                f_minus = objective()
+                flat[j] = orig
+                worst = max(worst, rel_error(gflat[j], (f_plus - f_minus) / (2 * FD_STEP)))
+        assert worst < 1e-6
+
     def test_maxpool_tie_routes_to_lowest_slot(self):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=1)
         rows = np.zeros((1, 2, 4))
@@ -177,6 +242,22 @@ class TestBackward:
         _, _, _, grows = fusion.pacf_backward(cache, params, g)
         assert grows[0, 0, 0] == 1.0
         assert grows[0, 1, 0] == 0.0
+
+    def test_maxpool_tie_in_later_slots_routes_to_lower(self):
+        dims = FusionDims(c_seg=1, c_lidar=0, d_o=1)
+        rows = np.zeros((1, 3, 4))
+        rows[0, :, 0] = [0.2, 0.7, 0.7]  # slots 1 and 2 tie above slot 0
+        rows[0, :, 1] = [0.1, 0.3, 0.9]  # strict max in slot 2
+        nf = fusion.NeighborFeatures(rows=rows, valid=np.ones((1, 3), bool), dims=dims)
+        params = fusion.PacfParams(
+            weights=[np.zeros((4, 1))], biases=[np.zeros(1)], aggr_weights=np.zeros(3)
+        )
+        _, cache = fusion.pacf_forward(nf, params)
+        g = np.zeros((1, dims.out_width))
+        g[0, 2 * dims.d_o : 2 * dims.d_o + 2] = [1.0, 2.0]  # pool segment, channels 0 and 1
+        _, _, _, grows = fusion.pacf_backward(cache, params, g)
+        np.testing.assert_array_equal(grows[0, :, 0], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(grows[0, :, 1], [0.0, 0.0, 2.0])
 
 
 class TestRetrieval:
@@ -261,6 +342,23 @@ class TestParamsIO:
         path = tmp_path / "p.pacw"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(Exception, match="magic"):
+            fusion.load_params(path)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths")],
+    )
+    def test_malformed_container(self, tmp_path, case, match):
+        head = fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 3, 3)
+        raw = {
+            "truncated_header": head,  # three widths announced, none present
+            "short_payload": head + struct.pack("<3I", 5, 7, 3) + b"\x00" * 80,
+            "one_width": fusion.PARAMS_MAGIC + struct.pack("<HIII", fusion.PARAMS_VERSION, 1, 1, 5)
+            + struct.pack("<d", 1.0),
+        }[case]
+        path = tmp_path / "p.pacw"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=match):
             fusion.load_params(path)
 
 
