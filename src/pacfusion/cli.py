@@ -1,17 +1,13 @@
 """Command-line front end for the fusion pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 format error, 3 verification
-failure. Every command is deterministic under a fixed --seed. The
-PACF_THREADS environment variable caps the worker count used for batch
-neighbor queries.
+failure. Every command is deterministic under a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,32 +21,6 @@ EXIT_FORMAT = 2
 EXIT_VERIFY = 3
 
 BEV_RESOLUTION = 0.1  # meters per pixel
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("PACF_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
-
-
-def _batch_knn(tree: kdtree.KdTree, targets: np.ndarray, k: int, d: float) -> np.ndarray:
-    idx = np.empty((len(targets), k), dtype=np.int64)
-
-    def run(span):
-        lo, hi = span
-        for i in range(lo, hi):
-            idx[i] = kdtree.knn_query(tree, targets[i], k, d).indices
-
-    workers = _worker_count()
-    bounds = np.linspace(0, len(targets), workers + 1).astype(int)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if workers == 1:
-        run(spans[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return idx
 
 
 def _load_map(path) -> "kitti.FeatureMap":
@@ -101,7 +71,9 @@ def cmd_project(args) -> int:
 def cmd_knn(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
     tree = kdtree.KdTree(cloud.xyz)
-    idx = _batch_knn(tree, cloud.xyz, args.k, args.dist)
+    idx = np.empty((len(cloud), args.k), dtype=np.int64)
+    for i in range(len(cloud)):
+        idx[i] = tree.query(cloud.xyz[i], k=args.k, d=args.dist).indices
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
     for i in range(len(cloud)):
         print(f"{i}," + ",".join(str(int(v)) for v in idx[i]))

@@ -298,7 +298,6 @@ def fuse_cloud(
     k: int = 3,
     d: float = np.inf,
     mode: str = "v1",
-    leaf_size: int = 16,
     bilinear: bool = False,
     use_reflectance: bool = False,
 ) -> PointCloud:
@@ -324,7 +323,7 @@ def fuse_cloud(
         return PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, features=feats)
     if params is None:
         raise ValueError("v1 fusion requires operator parameters")
-    tree = KdTree(cloud.xyz, leaf_size=leaf_size)
+    tree = KdTree(cloud.xyz)
     nbr = np.empty((len(cloud), k), dtype=np.int64)
     for i in range(len(cloud)):
         nbr[i] = tree.query(cloud.xyz[i], k=k, d=d).indices

@@ -5,11 +5,26 @@ brute-force twin used as the test oracle. Both obey the same contract:
 neighbors ordered by squared distance ascending, ties broken by lower
 point index, under-filled neighborhoods padded by cycling the found
 neighbors so the result always has exactly k slots.
+
+The tree is stored flat, as Python lists indexed by node id: split axis
+(-1 for a leaf), split value, child ids, and the node's [start, end)
+range in a leaf-ordered permutation of the points, whose coordinates are
+kept as three lists of Python floats. A leaf scan's `dx*dx + dy*dy +
+dz*dz` gives the same bits as `knn_brute`'s numpy sum.
+
+The search (Friedman, Bentley & Finkel 1977) walks the tree with an
+explicit stack, nearer child first. It skips a subtree only when the
+squared distance to its split plane is strictly greater than min(k-th
+d² found so far, d²max). A subtree exactly at that bound is visited: it
+may hold a point at the k-th distance with a lower index, which wins the
+tie. Float subtraction, squaring and adding non-negative terms are
+monotone, so the plane distance never exceeds a point's rounded d².
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +40,6 @@ class NeighborSet:
     distances: np.ndarray
 
 
-class _Node:
-    __slots__ = ("axis", "split", "left", "right", "idx")
-
-    def __init__(self, axis=-1, split=0.0, left=None, right=None, idx=None):
-        self.axis = axis
-        self.split = split
-        self.left = left
-        self.right = right
-        self.idx = idx  # leaf: array of point indices
-
-
 class KdTree:
     """Immutable balanced k-d tree over an (N, 3) point array."""
 
@@ -47,35 +51,79 @@ class KdTree:
             raise ValueError("leaf_size must be >= 1")
         self.points = points
         self.leaf_size = leaf_size
-        self.root = self._build(np.arange(len(points)), depth=0)
+        perm = np.arange(len(points))
+        nodes: list[tuple] = []
+        self.root = self._build(perm, 0, len(points), 0, nodes)
+        self.axis, self.split, self.left, self.right, self.start, self.end = map(list, zip(*nodes))
+        self.perm: list[int] = perm.tolist()
+        self.xs, self.ys, self.zs = points[perm].T.tolist()
 
-    def _build(self, idx: np.ndarray, depth: int) -> _Node:
-        if len(idx) <= self.leaf_size:
-            return _Node(idx=idx)
+    def _build(self, perm: np.ndarray, lo: int, hi: int, depth: int, nodes: list) -> int:
+        """Append the subtree over perm[lo:hi] to nodes, children first; return its id.
+
+        Each internal node sorts its span of perm in place, so every node's
+        points end up contiguous and the leaves tile perm in order.
+        """
+        if hi - lo <= self.leaf_size:
+            nodes.append((-1, 0.0, -1, -1, lo, hi))
+            return len(nodes) - 1
         axis = depth % 3
-        order = np.argsort(self.points[idx, axis], kind="stable")
-        idx = idx[order]
-        mid = len(idx) // 2
-        node = _Node(axis=axis, split=self.points[idx[mid], axis])
-        node.left = self._build(idx[:mid], depth + 1)
-        node.right = self._build(idx[mid:], depth + 1)
-        return node
+        span = perm[lo:hi]
+        span[:] = span[np.argsort(self.points[span, axis], kind="stable")]
+        mid = (lo + hi) // 2
+        split = float(self.points[perm[mid], axis])
+        left = self._build(perm, lo, mid, depth + 1, nodes)
+        right = self._build(perm, mid, hi, depth + 1, nodes)
+        nodes.append((axis, split, left, right, lo, hi))
+        return len(nodes) - 1
 
     def query(self, target, k: int, d: float = np.inf) -> NeighborSet:
         return knn_query(self, target, k, d)
 
 
-def _finalize(heap: list, k: int) -> NeighborSet:
-    # heap entries are (-d2, -index); unwind into ascending (d2, index) order
-    found = sorted((-nd2, -nidx) for nd2, nidx in heap)
+def _finalize(found: list, k: int) -> NeighborSet:
+    """NeighborSet from (d2, index) pairs in ascending order, padded cyclically to k."""
     if not found:
         return NeighborSet(indices=np.zeros(k, dtype=np.int64), distances=np.zeros(k))
-    indices = np.array([f[1] for f in found], dtype=np.int64)
-    dists = np.sqrt(np.array([f[0] for f in found]))
     if len(found) < k:
-        reps = np.arange(k) % len(found)
-        indices, dists = indices[reps], dists[reps]
-    return NeighborSet(indices=indices, distances=dists)
+        found = [found[j % len(found)] for j in range(k)]
+    d2s, indices = zip(*found)
+    return NeighborSet(indices=np.array(indices, dtype=np.int64), distances=np.sqrt(np.array(d2s)))
+
+
+def _search(tree: KdTree, target: list, k: int, d2max: float) -> list:
+    """Up to k smallest (d2, index) pairs with d2 <= d2max, in ascending order."""
+    axis, split, left, right = tree.axis, tree.split, tree.left, tree.right
+    start, end, perm = tree.start, tree.end, tree.perm
+    xs, ys, zs = tree.xs, tree.ys, tree.zs
+    tx, ty, tz = target
+    found: list[tuple[float, int]] = []
+    bound = d2max  # min(k-th d2 found so far, d2max)
+    stack = [(tree.root, 0.0)]  # (node, squared distance to the plane that separates it)
+    while stack:
+        node, gap = stack.pop()
+        if gap > bound:
+            continue
+        a = axis[node]
+        while a >= 0:
+            delta = target[a] - split[node]
+            near, far = (right[node], left[node]) if delta >= 0 else (left[node], right[node])
+            if delta * delta <= bound:
+                stack.append((far, delta * delta))
+            node = near
+            a = axis[node]
+        for j in range(start[node], end[node]):
+            dx = xs[j] - tx
+            dy = ys[j] - ty
+            dz = zs[j] - tz
+            d2 = dx * dx + dy * dy + dz * dz
+            if d2 <= bound and (len(found) < k or (d2, perm[j]) < found[-1]):
+                insort(found, (d2, perm[j]))
+                if len(found) > k:
+                    found.pop()
+                if len(found) == k:
+                    bound = found[-1][0]
+    return found
 
 
 def knn_query(tree: KdTree, target, k: int, d: float = np.inf) -> NeighborSet:
@@ -88,38 +136,12 @@ def knn_query(tree: KdTree, target, k: int, d: float = np.inf) -> NeighborSet:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    target = np.asarray(target, dtype=np.float64).reshape(3)
-    d2max = d * d if np.isfinite(d) else np.inf
-    heap: list[tuple[float, int]] = []  # max-heap via (-d2, -index)
-    # fallback nearest point over all, used when the radius excludes everything
-    best_any = [np.inf, -1]
-
-    def visit(node: _Node) -> None:
-        if node.idx is not None:
-            pts = tree.points[node.idx]
-            d2s = np.sum((pts - target) ** 2, axis=1)
-            for d2, i in zip(d2s, node.idx):
-                if (d2, i) < (best_any[0], best_any[1]):
-                    best_any[0], best_any[1] = d2, i
-                if d2 > d2max:
-                    continue
-                entry = (-d2, -int(i))
-                if len(heap) < k:
-                    heapq.heappush(heap, entry)
-                elif entry > heap[0]:
-                    heapq.heapreplace(heap, entry)
-            return
-        delta = target[node.axis] - node.split
-        near, far = (node.right, node.left) if delta >= 0 else (node.left, node.right)
-        visit(near)
-        worst = -heap[0][0] if len(heap) == k else np.inf
-        if delta * delta <= min(worst, d2max) or len(heap) < k:
-            visit(far)
-
-    visit(tree.root)
-    if not heap:
-        heap = [(-best_any[0], -best_any[1])]
-    return _finalize(heap, k)
+    target = np.asarray(target, dtype=np.float64).reshape(3).tolist()
+    d = float(d)
+    found = _search(tree, target, k, d * d if math.isfinite(d) else math.inf)
+    if not found:
+        found = _search(tree, target, 1, math.inf)
+    return _finalize(found, k)
 
 
 def knn_brute(points, target, k: int, d: float = np.inf) -> NeighborSet:
@@ -134,6 +156,4 @@ def knn_brute(points, target, k: int, d: float = np.inf) -> NeighborSet:
     within = order[d2s[order] <= d2max]
     if len(within) == 0:
         within = order[:1]  # radius excludes everything; pad with overall nearest
-    chosen = within[:k]
-    heap = [(-d2s[i], -int(i)) for i in chosen]
-    return _finalize(heap, k)
+    return _finalize([(d2s[i], int(i)) for i in within[:k]], k)

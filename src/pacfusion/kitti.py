@@ -115,7 +115,10 @@ def read_calib(path) -> CalibrationSet:
             raise FormatError(
                 f"calibration key {key}: expected {_CALIB_KEYS[key]} values, got {len(fields)}"
             )
-        values[key] = np.array([float(v) for v in fields])
+        try:
+            values[key] = np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise FormatError(f"calibration key {key}: {exc}") from None
     for key in _CALIB_KEYS:
         if key not in values:
             raise FormatError(f"calibration file missing key {key}")
@@ -171,7 +174,10 @@ def read_feature_map(path) -> FeatureMap:
             f"feature-map container: payload is {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
-    return FeatureMap(data=data.astype(np.float64))
+    try:
+        return FeatureMap(data=data.astype(np.float64))
+    except ValueError as exc:
+        raise FormatError(f"feature-map container: {exc}") from None
 
 
 def read_pgm_mask(path) -> FeatureMap:
@@ -191,7 +197,9 @@ def read_pgm_mask(path) -> FeatureMap:
         tokens.append(raw[start:pos])
     if tokens[0] != b"P5":
         raise FormatError("PGM mask: expected binary P5 header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    width, height, maxval = (int(t) if t.isdigit() else -1 for t in tokens[1:])
+    if min(width, height, maxval) < 0:
+        raise FormatError("PGM mask: malformed or truncated header")
     if maxval != 255:
         raise FormatError(f"PGM mask: expected maxval 255, got {maxval}")
     pos += 1  # single whitespace after maxval

@@ -111,6 +111,27 @@ def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
         assert code == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize(
+    "bad_file, contents",
+    [
+        ("featuremap_path", b"P5\n12"),  # PGM header cut inside the width
+        ("featuremap_path", b"P5\n-1 -1\n255\n\x00"),
+        ("calib_path", b"P2: 721.5 abc 0 0 0 1 0 0 0 0 1 0\n"),
+        ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 2, 2, 0)),
+    ],
+    ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels"],
+)
+def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, contents):
+    f = synthetic_frame
+    f[bad_file].write_bytes(contents)
+    code, out = run(
+        ["fuse", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.pacf"],
+        capsys,
+    )
+    assert code == cli.EXIT_FORMAT
+    assert out.err.startswith("format error:")
+
+
 def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     f = synthetic_frame
     out_mask = f["dir"] / "mask.pgm"
@@ -166,16 +187,3 @@ def test_seed_determinism(tmp_path, synthetic_frame):
     assert run(common + ["--out", a]) == cli.EXIT_OK
     assert run(common + ["--out", b]) == cli.EXIT_OK
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_cap(tmp_path, synthetic_frame, monkeypatch):
-    f = synthetic_frame
-    monkeypatch.setenv("PACF_THREADS", "1")
-    out_path = f["dir"] / "t1.pacf"
-    code = run(
-        [
-            "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
-            "--out", out_path, "--n-sample", 128, "--seed", 0,
-        ]
-    )
-    assert code == cli.EXIT_OK

@@ -3,6 +3,8 @@ import pytest
 
 from pacfusion.kdtree import KdTree, knn_brute, knn_query
 
+from conftest import random_cloud
+
 
 def test_ego_point_first():
     pts = np.array([[0, 0, 0], [1, 0, 0], [5, 0, 0]], dtype=float)
@@ -31,17 +33,57 @@ def test_k_zero_rejected():
         knn_brute(np.zeros((1, 3)), (0, 0, 0), k=0)
 
 
-def test_oracle_equivalence_random(rng):
+def _uniform(rng):
     pts = rng.uniform([0, -40, -1], [70.4, 40, 3], size=(1000, 3))
-    tree = KdTree(pts)
-    targets = rng.uniform([0, -40, -1], [70.4, 40, 3], size=(100, 3))
-    for k in (1, 3, 5, 10):
-        for d in (np.inf, 2.0):
+    return pts, rng.uniform([0, -40, -1], [70.4, 40, 3], size=(100, 3)), (1, 3, 5, 10), (np.inf, 2.0)
+
+
+def _lattice(rng):
+    # integer grid: exact distance ties at grid points, at cell centres and at d = 1
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0), np.arange(4.0), indexing="ij"), axis=-1)
+    pts = grid.reshape(-1, 3)
+    return pts, np.vstack([pts[::5], pts[::7] + 0.5]), (1, 3, 7, 27), (np.inf, 1.0, 1.5)
+
+
+def _duplicated(rng):
+    pts = np.repeat(rng.uniform(-5, 5, size=(100, 3)), 2, axis=0)
+    return pts, np.vstack([pts[::9], rng.uniform(-5, 5, size=(20, 3))]), (1, 2, 5), (np.inf, 0.5)
+
+
+def _k_above_n(rng):
+    pts = rng.uniform(-2, 2, size=(12, 3))
+    return pts, np.vstack([pts, rng.uniform(-2, 2, size=(10, 3))]), (13, 40), (2.0, np.inf)
+
+
+def _radius_excludes_all(rng):
+    pts = rng.uniform(-5, 5, size=(200, 3))
+    return pts, rng.uniform(-6, 6, size=(30, 3)), (1, 3), (1e-6,)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 16], ids=lambda leaf: f"leaf{leaf}")
+@pytest.mark.parametrize(
+    "make", [_uniform, _lattice, _duplicated, _k_above_n, _radius_excludes_all],
+    ids=["uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all"],
+)
+def test_oracle_equivalence(rng, make, leaf):
+    pts, targets, ks, ds = make(rng)
+    tree = KdTree(pts, leaf_size=leaf)
+    for k in ks:
+        for d in ds:
             for t in targets:
                 got = knn_query(tree, t, k, d)
                 want = knn_brute(pts, t, k, d)
-                np.testing.assert_array_equal(got.indices, want.indices)
-                np.testing.assert_array_equal(got.distances, want.distances)
+                assert np.array_equal(got.indices, want.indices), (k, d, t)
+                assert np.array_equal(got.distances, want.distances), (k, d, t)
+
+
+def test_self_query_table_matches_brute(rng):
+    pts = random_cloud(rng, 2000).xyz
+    tree = KdTree(pts)
+    got = [tree.query(p, 3) for p in pts]
+    want = [knn_brute(pts, p, 3) for p in pts]
+    np.testing.assert_array_equal([g.indices for g in got], [w.indices for w in want])
+    np.testing.assert_array_equal([g.distances for g in got], [w.distances for w in want])
 
 
 def test_tie_break_lower_index():
