@@ -24,8 +24,9 @@ BEV_RESOLUTION = 0.1  # meters per pixel
 
 
 def _load_map(path) -> "kitti.FeatureMap":
-    head = Path(path).read_bytes()[:4]
-    if head[:4] == kitti.FEATUREMAP_MAGIC:
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+    if head == kitti.FEATUREMAP_MAGIC:
         return kitti.read_feature_map(path)
     if head[:2] == b"P5":
         return kitti.read_pgm_mask(path)
@@ -40,11 +41,7 @@ def _prepare_cloud(args, calib, image_size) -> PointCloud:
     pixels = geometry.project_points(cloud, calib, image_size)
     visible = np.nonzero(pixels.valid)[0]
     if len(visible):
-        cloud = PointCloud(
-            xyz=cloud.xyz[visible],
-            reflectance=cloud.reflectance[visible],
-            features=None if cloud.features is None else cloud.features[visible],
-        )
+        cloud = geometry._take(cloud, visible)
     cloud, _ = geometry.subsample(cloud, args.n_sample, args.seed)
     return cloud
 
@@ -58,25 +55,26 @@ def _parse_roi(text: str | None) -> geometry.RegionOfInterest:
     return geometry.RegionOfInterest(*vals)
 
 
+def _csv_rows(fmt: str, table: np.ndarray) -> str:
+    """One `fmt` line per row of a 2-D table, by one % over all rows; %d prints an integral float as the int."""
+    return (fmt * len(table)) % tuple(table.ravel().tolist())
+
+
 def cmd_project(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
     calib = kitti.read_calib(args.calib)
     pixels = geometry.project_points(cloud, calib, (args.height, args.width))
-    print("index,u,v,depth,valid")
-    for i in range(len(pixels)):
-        print(f"{i},{pixels.u[i]:.6f},{pixels.v[i]:.6f},{pixels.depth[i]:.6f},{int(pixels.valid[i])}")
+    table = np.column_stack((np.arange(len(pixels)), pixels.u, pixels.v, pixels.depth, pixels.valid))
+    sys.stdout.write("index,u,v,depth,valid\n" + _csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table))
     return EXIT_OK
 
 
 def cmd_knn(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
     tree = kdtree.KdTree(cloud.xyz)
-    idx = np.empty((len(cloud), args.k), dtype=np.int64)
-    for i in range(len(cloud)):
-        idx[i] = tree.query(cloud.xyz[i], k=args.k, d=args.dist).indices
+    idx = np.array([tree.query(p, k=args.k, d=args.dist).indices for p in cloud.xyz], dtype=np.int64)
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
-    for i in range(len(cloud)):
-        print(f"{i}," + ",".join(str(int(v)) for v in idx[i]))
+    sys.stdout.write(_csv_rows("%d" + ",%d" * args.k + "\n", np.column_stack((np.arange(len(cloud)), idx))))
     if args.verify:
         mismatches = 0
         for i in range(len(cloud)):
@@ -114,16 +112,13 @@ def cmd_maskgen(args) -> int:
     calib = kitti.read_calib(args.calib)
     boxes = kitti.read_labels(args.labels)
     image_size = (args.height, args.width)
-    args_ns = args
-    cloud = _prepare_cloud(args_ns, calib, image_size)
+    cloud = _prepare_cloud(args, calib, image_size)
     fg = losses.label_points(cloud, boxes, calib)
-    mask = losses.make_sparse_mask(cloud, fg, calib, image_size)
+    dontcare = [box for box in boxes if box.dontcare]
+    mask = losses.make_sparse_mask(cloud, fg, calib, image_size, dontcare_boxes=dontcare)
     mask.to_pgm(args.out_mask)
-    with open(args.out_labels, "w") as fh:
-        fh.write("index,x,y,z,foreground\n")
-        for i in range(len(cloud)):
-            x, y, z = cloud.xyz[i]
-            fh.write(f"{i},{x:.6f},{y:.6f},{z:.6f},{int(fg[i])}\n")
+    table = np.column_stack((np.arange(len(cloud)), cloud.xyz, fg))
+    Path(args.out_labels).write_text("index,x,y,z,foreground\n" + _csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table))
     n_sup = int(mask.supervised.sum())
     print(f"mask {args.width}x{args.height}: {n_sup} supervised pixels, {int(fg.sum())} foreground points")
     return EXIT_OK
@@ -160,9 +155,10 @@ def cmd_bev_render(args) -> int:
     cols = np.clip(((roi.y_max - cloud.xyz[:, 1]) / BEV_RESOLUTION).astype(int), 0, w - 1)
     vmax = values.max() if len(values) and values.max() > 0 else 1.0
     shade = np.clip(values / vmax, 0.0, 1.0)
-    # iterate in index order so collisions resolve deterministically
-    for i in range(len(cloud)):
-        img[rows[i], cols[i]] = (int(255 * shade[i]), 64, int(255 * (1 - shade[i])))
+    colors = np.column_stack((255 * shade, np.full(len(shade), 64), 255 * (1 - shade))).astype(np.uint8)
+    # the highest point index wins a pixel: in reverse order it is the first occurrence
+    pix, first = np.unique((rows * w + cols)[::-1], return_index=True)
+    img.reshape(-1, 3)[pix] = colors[::-1][first]
     Path(args.out).write_bytes(f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
     print(f"wrote {w}x{h} BEV render to {args.out}")
     return EXIT_OK

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PixelCoords, project_points
+from .geometry import PixelCoords, nearest_pixel, project_points
 from .kdtree import KdTree
 from .kitti import CalibrationSet, FormatError
 from .types import FeatureMap, FusionDims, PointCloud, fusion_dims
@@ -135,8 +135,7 @@ def retrieve_features(pixels: PixelCoords, fmap: FeatureMap, bilinear: bool = Fa
     if bilinear:
         out[idx] = _bilinear(pixels.u[idx], pixels.v[idx], fmap)
     else:
-        cols = np.clip(np.ceil(pixels.u[idx] - 0.5).astype(np.int64), 0, fmap.width - 1)
-        rows = np.clip(np.ceil(pixels.v[idx] - 0.5).astype(np.int64), 0, fmap.height - 1)
+        rows, cols = nearest_pixel(pixels.u[idx], pixels.v[idx], (fmap.height, fmap.width))
         out[idx] = fmap.data[rows, cols]
     return out, pixels.valid.copy()
 

@@ -65,6 +65,14 @@ def project_points(cloud: PointCloud, calib: CalibrationSet, image_size: tuple[i
     return PixelCoords(u=u, v=v, depth=w, valid=valid)
 
 
+def nearest_pixel(u: np.ndarray, v: np.ndarray, image_size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the nearest grid cells: ceil(x - 0.5), so halves round down, clipped to the (H, W) image."""
+    height, width = image_size
+    rows = np.clip(np.ceil(v - 0.5).astype(np.int64), 0, height - 1)
+    cols = np.clip(np.ceil(u - 0.5).astype(np.int64), 0, width - 1)
+    return rows, cols
+
+
 def filter_region(cloud: PointCloud, roi: RegionOfInterest) -> tuple[PointCloud, np.ndarray]:
     """Keep points with all coordinates inside the closed ROI bounds.
 

@@ -149,6 +149,8 @@ def knn_brute(points, target, k: int, d: float = np.inf) -> NeighborSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        raise ValueError("cannot search zero points")
     target = np.asarray(target, dtype=np.float64).reshape(3)
     d2s = np.sum((points - target) ** 2, axis=1)
     order = np.lexsort((np.arange(len(points)), d2s))

@@ -161,6 +161,7 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
 
 
 def read_feature_map(path) -> FeatureMap:
+    """Read the PACF container as a float32 map over the file's bytes (read-only)."""
     raw = Path(path).read_bytes()
     if len(raw) < 18 or raw[:4] != FEATUREMAP_MAGIC:
         raise FormatError("feature-map container: bad magic")
@@ -168,14 +169,13 @@ def read_feature_map(path) -> FeatureMap:
     if version != FEATUREMAP_VERSION:
         raise FormatError(f"feature-map container: unsupported version {version}")
     expected = 4 * h * w * c
-    payload = raw[18:]
-    if len(payload) != expected:
+    if len(raw) - 18 != expected:
         raise FormatError(
-            f"feature-map container: payload is {len(payload)} bytes, expected {expected}"
+            f"feature-map container: payload is {len(raw) - 18} bytes, expected {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
+    data = np.frombuffer(raw, dtype="<f4", offset=18).reshape(h, w, c)
     try:
-        return FeatureMap(data=data.astype(np.float64))
+        return FeatureMap(data=data)
     except ValueError as exc:
         raise FormatError(f"feature-map container: {exc}") from None
 

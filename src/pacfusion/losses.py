@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import lidar_to_camera, points_in_box, project_points
+from .geometry import lidar_to_camera, nearest_pixel, points_in_box, project_points
 from .kitti import CalibrationSet, write_pgm
 from .types import Box3D, PointCloud
 
@@ -89,13 +89,13 @@ def make_sparse_mask(
     state = np.full((height, width), UNSUPERVISED, dtype=np.uint8)
     depth = np.full((height, width), np.inf)
     pixels = project_points(cloud, calib, image_size)
-    cols = np.clip(np.ceil(pixels.u - 0.5).astype(np.int64), 0, width - 1)
-    rows = np.clip(np.ceil(pixels.v - 0.5).astype(np.int64), 0, height - 1)
-    for i in np.nonzero(pixels.valid)[0]:
-        r, c = rows[i], cols[i]
-        if pixels.depth[i] < depth[r, c]:
-            depth[r, c] = pixels.depth[i]
-            state[r, c] = FOREGROUND if labels[i] else BACKGROUND
+    idx = np.nonzero(pixels.valid)[0]
+    order = idx[np.lexsort((idx, pixels.depth[idx]))]  # nearest first, lower index on ties
+    rows, cols = nearest_pixel(pixels.u[order], pixels.v[order], image_size)
+    flat, first = np.unique(rows * width + cols, return_index=True)  # first point per pixel
+    winners = order[first]
+    depth.flat[flat] = pixels.depth[winners]
+    state.flat[flat] = np.where(np.asarray(labels)[winners], FOREGROUND, BACKGROUND)
     for box in dontcare_boxes or []:
         rect = _box_image_extent(box, calib, image_size)
         if rect is not None:
@@ -108,23 +108,16 @@ def make_sparse_mask(
 def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[int, int, int, int] | None:
     """Projected 2D pixel rectangle of a box's 8 corners, or None if behind camera."""
     height, width = image_size
-    h = box.h if box.h > 0 else 1.0
-    w = box.w if box.w > 0 else 1.0
-    l = box.l if box.l > 0 else 1.0
+    h, w, l = (size if size > 0 else 1.0 for size in (box.h, box.w, box.l))
     c, s = np.cos(box.ry), np.sin(box.ry)
-    corners = []
-    for sx in (-l / 2, l / 2):
-        for sy in (-h, 0.0):
-            for sz in (-w / 2, w / 2):
-                corners.append(
-                    (box.x + c * sx + s * sz, box.y + sy, box.z - s * sx + c * sz)
-                )
-    cam = np.asarray(corners)
+    cam = np.array([
+        (box.x + c * sx + s * sz, box.y + sy, box.z - s * sx + c * sz)
+        for sx in (-l / 2, l / 2) for sy in (-h, 0.0) for sz in (-w / 2, w / 2)
+    ])
     hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
     if np.any(hom[:, 2] <= 0):
         return None
-    u = hom[:, 0] / hom[:, 2]
-    v = hom[:, 1] / hom[:, 2]
+    u, v = hom[:, 0] / hom[:, 2], hom[:, 1] / hom[:, 2]
     c0 = int(np.clip(np.floor(u.min()), 0, width))
     c1 = int(np.clip(np.ceil(u.max()) + 1, 0, width))
     r0 = int(np.clip(np.floor(v.min()), 0, height))

@@ -90,12 +90,13 @@ class PointCloud:
 
 @dataclass
 class FeatureMap:
-    """Dense H x W x C image-plane feature grid at full image resolution."""
+    """Dense H x W x C image-plane feature grid; float32 data stays float32, other dtypes become float64."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if self.data.ndim != 3:
             raise ValueError(f"feature map must be (H, W, C), got shape {self.data.shape}")
         if self.data.shape[2] < 1:

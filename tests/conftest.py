@@ -95,10 +95,9 @@ def synthetic_frame(tmp_path):
     fg = losses.label_points(cloud, boxes, calib)
     pixels = geometry.project_points(cloud, calib, (h, w))
     data = np.zeros((h, w, 1))
-    for i in np.nonzero(fg & pixels.valid)[0]:
-        r = int(np.ceil(pixels.v[i] - 0.5))
-        c = int(np.ceil(pixels.u[i] - 0.5))
-        data[min(max(r, 0), h - 1), min(max(c, 0), w - 1), 0] = 1.0
+    stamped = fg & pixels.valid
+    rows, cols = geometry.nearest_pixel(pixels.u[stamped], pixels.v[stamped], (h, w))
+    data[rows, cols, 0] = 1.0
     fmap = FeatureMap(data=data)
     fmap_path = tmp_path / "semantic.pacf"
     kitti.write_feature_map(fmap, fmap_path)

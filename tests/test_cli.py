@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from pacfusion import cli, fusion, kitti
+from pacfusion import cli, fusion, geometry, kitti, losses
 
 
 def run(argv, capsys=None):
@@ -34,6 +34,30 @@ def test_project_csv(tmp_path, capsys, synthetic_frame):
     lines = out.out.strip().splitlines()
     assert lines[0] == "index,u,v,depth,valid"
     assert len(lines) == len(f["cloud"]) + 1
+
+
+def test_project_csv_matches_loop(capsys, synthetic_frame):
+    f = synthetic_frame
+    code, out = run(["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 192], capsys)
+    assert code == cli.EXIT_OK
+    pixels = geometry.project_points(kitti.read_velodyne(f["velodyne"]), f["calib"], (64, 192))
+    assert not pixels.valid.all() and pixels.valid.any()
+    want = ["index,u,v,depth,valid\n"]
+    for i in range(len(pixels)):
+        want.append(f"{i},{pixels.u[i]:.6f},{pixels.v[i]:.6f},{pixels.depth[i]:.6f},{int(pixels.valid[i])}\n")
+    assert out.out == "".join(want)
+
+
+def test_csv_rows_matches_fstring_loop():
+    xyz = np.array(
+        [[-0.0, 0.0, 1e6], [-1234567.891234, 2.5e7, -0.0000004], [3.1415926535, -9.99999949, 123456789012.5]]
+    )
+    fg = np.array([True, False, True])
+    table = np.column_stack((np.arange(3), xyz, fg))
+    want = "".join(f"{i},{x:.6f},{y:.6f},{z:.6f},{int(fg[i])}\n" for i, (x, y, z) in enumerate(xyz))
+    assert cli._csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table) == want
+    assert want.startswith("0,-0.000000,0.000000,1000000.000000,1\n1,")
+    assert cli._csv_rows("%d\n", np.zeros((0, 1))) == ""
 
 
 def test_knn_verify(tmp_path, capsys):
@@ -153,6 +177,55 @@ def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     assert len(lines) == 513
 
 
+def _maskgen_argv(f, labels_path, tag):
+    return [
+        "maskgen", f["velodyne"], f["calib_path"], labels_path, "--height", 64, "--width", 192,
+        "--out-mask", f["dir"] / f"{tag}.pgm", "--out-labels", f["dir"] / f"{tag}.csv",
+        "--n-sample", 900, "--seed", 3,
+    ]
+
+
+def test_maskgen_matches_loop(synthetic_frame):
+    f = synthetic_frame
+    argv = [str(a) for a in _maskgen_argv(f, f["labels_path"], "m")]
+    assert cli.main(argv) == cli.EXIT_OK
+    cloud = cli._prepare_cloud(cli.build_parser().parse_args(argv), f["calib"], (64, 192))
+    fg = losses.label_points(cloud, f["boxes"], f["calib"])
+    assert fg.any() and not fg.all()
+    want = ["index,x,y,z,foreground\n"]
+    for i in range(len(cloud)):
+        x, y, z = cloud.xyz[i]
+        want.append(f"{i},{x:.6f},{y:.6f},{z:.6f},{int(fg[i])}\n")
+    assert (f["dir"] / "m.csv").read_text() == "".join(want)
+    levels = np.array([0, 128, 255], dtype=np.uint8)
+    state = losses.make_sparse_mask(cloud, fg, f["calib"], (64, 192)).state
+    assert (f["dir"] / "m.pgm").read_bytes() == b"P5\n192 64\n255\n" + levels[state].tobytes()
+
+
+def test_maskgen_clears_dontcare_extent(synthetic_frame):
+    f = synthetic_frame
+    b = f["boxes"][0]
+    dc_path = f["dir"] / "labels_dc.txt"
+    dc_path.write_text(
+        f["labels_path"].read_text()
+        + f"DontCare -1 -1 -10 0 0 10 10 {b.h} {b.w} {b.l} {b.x} {b.y} {b.z} {b.ry}\n"
+    )
+    assert run(_maskgen_argv(f, f["labels_path"], "plain")) == cli.EXIT_OK
+    assert run(_maskgen_argv(f, dc_path, "dc")) == cli.EXIT_OK
+    plain = kitti.read_pgm_mask(f["dir"] / "plain.pgm").data[:, :, 0]
+    cleared = kitti.read_pgm_mask(f["dir"] / "dc.pgm").data[:, :, 0]
+    dc_box = kitti.read_labels(dc_path)[-1]
+    assert dc_box.dontcare
+    r0, r1, c0, c1 = losses._box_image_extent(dc_box, f["calib"], (64, 192))
+    inside = np.zeros(plain.shape, dtype=bool)
+    inside[r0:r1, c0:c1] = True
+    assert plain[inside].any()  # the box's extent holds stamped pixels without DontCare
+    assert not cleared[inside].any()
+    np.testing.assert_array_equal(cleared[~inside], plain[~inside])
+    # labels come from the non-DontCare boxes only, so the CSV does not change
+    assert (f["dir"] / "dc.csv").read_bytes() == (f["dir"] / "plain.csv").read_bytes()
+
+
 def test_gradcheck_pass(capsys):
     code, out = run(["gradcheck", "--instances", 3, "--seed", 2], capsys)
     assert code == cli.EXIT_OK
@@ -175,6 +248,35 @@ def test_bev_render(tmp_path, capsys, synthetic_frame):
     raw = out_path.read_bytes()
     assert raw.startswith(b"P6\n800 704\n255\n")
     assert len(raw) == len(b"P6\n800 704\n255\n") + 800 * 704 * 3
+
+
+def test_bev_render_matches_loop(synthetic_frame):
+    f = synthetic_frame
+    # a map with a distinct value per pixel, so points sharing a BEV cell differ in colour
+    fmap = kitti.FeatureMap(data=np.random.default_rng(1).uniform(0.1, 1.0, size=(64, 192, 1)))
+    fmap_path = f["dir"] / "random.pacf"
+    kitti.write_feature_map(fmap, fmap_path)
+    out_path = f["dir"] / "bev.ppm"
+    assert run(["bev-render", f["velodyne"], f["calib_path"], fmap_path, "--out", out_path]) == cli.EXIT_OK
+    roi = geometry.RegionOfInterest()
+    cloud, _ = geometry.filter_region(kitti.read_velodyne(f["velodyne"]), roi)
+    pixels = geometry.project_points(cloud, f["calib"], (64, 192))
+    values = fusion.retrieve_features(pixels, kitti.read_feature_map(fmap_path))[0][:, 0]
+    h, w = 704, 800
+    rows = np.clip(((roi.x_max - cloud.xyz[:, 0]) / cli.BEV_RESOLUTION).astype(int), 0, h - 1)
+    cols = np.clip(((roi.y_max - cloud.xyz[:, 1]) / cli.BEV_RESOLUTION).astype(int), 0, w - 1)
+    shade = np.clip(values / values.max(), 0.0, 1.0)
+
+    def render(order):
+        img = np.zeros((h, w, 3), dtype=np.uint8)
+        for i in order:
+            img[rows[i], cols[i]] = (int(255 * shade[i]), 64, int(255 * (1 - shade[i])))
+        return f"P6\n{w} {h}\n255\n".encode() + img.tobytes()
+
+    # reference: the per-point loop in index order, so the highest index wins a cell
+    want = render(range(len(cloud)))
+    assert want != render(reversed(range(len(cloud))))  # the frame has cells where the winner matters
+    assert out_path.read_bytes() == want
 
 
 def test_seed_determinism(tmp_path, synthetic_frame):

@@ -300,6 +300,24 @@ class TestRetrieval:
         assert vecs[0, 0] == pytest.approx(0.5)
 
 
+    @pytest.mark.parametrize("bilinear", [False, True], ids=["nearest", "bilinear"])
+    def test_float32_map_same_bits_as_widened(self, rng, bilinear):
+        data = rng.normal(size=(9, 13, 3)).astype(np.float32)
+        n = 400
+        px = PixelCoords(
+            u=rng.uniform(-2.0, 15.0, n), v=rng.uniform(-2.0, 11.0, n),
+            depth=np.ones(n), valid=rng.random(n) < 0.8,
+        )
+        narrow = FeatureMap(data=data)
+        wide = FeatureMap(data=data.astype(np.float64))
+        assert narrow.data.dtype == np.float32
+        got, got_valid = fusion.retrieve_features(px, narrow, bilinear=bilinear)
+        want, want_valid = fusion.retrieve_features(px, wide, bilinear=bilinear)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got_valid, want_valid)
+
+
 class TestAssemble:
     def test_layout_and_ego_offset(self, rng):
         cloud = random_cloud(rng, 6)

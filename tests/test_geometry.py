@@ -54,6 +54,15 @@ class TestProjection:
         assert len(px) == 123
 
 
+def test_nearest_pixel_rounds_half_down_and_clips():
+    u = np.array([0.5, 0.5000001, 1.5, -0.4, 9.99, 3.0])
+    v = np.array([1.5, 0.0, 2.49, 7.6, -3.0, 4.5])
+    rows, cols = geometry.nearest_pixel(u, v, (5, 8))
+    np.testing.assert_array_equal(cols, [0, 1, 1, 0, 7, 3])
+    np.testing.assert_array_equal(rows, [1, 0, 2, 4, 0, 4])
+    assert rows.dtype == cols.dtype == np.int64
+
+
 class TestFilterRegion:
     def test_closed_bounds(self):
         roi = geometry.RegionOfInterest()

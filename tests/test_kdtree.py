@@ -25,6 +25,11 @@ def test_empty_build_rejected():
         KdTree(np.zeros((0, 3)))
 
 
+def test_brute_rejects_zero_points():
+    with pytest.raises(ValueError, match="zero points"):
+        knn_brute(np.zeros((0, 3)), (0, 0, 0), 2)
+
+
 def test_k_zero_rejected():
     tree = KdTree(np.zeros((1, 3)))
     with pytest.raises(ValueError):

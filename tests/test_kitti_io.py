@@ -137,6 +137,14 @@ class TestFeatureMapContainer:
         back = kitti.read_feature_map(path)
         np.testing.assert_array_equal(back.data, m.data)
 
+    def test_read_keeps_float32(self, tmp_path):
+        data = np.array([0.1, -0.0, 3e38], dtype=np.float32).reshape(1, 1, 3)
+        path = tmp_path / "m.pacf"
+        kitti.write_feature_map(FeatureMap(data=data), path)
+        back = kitti.read_feature_map(path)
+        assert back.data.dtype == np.float32
+        assert back.data.tobytes() == data.tobytes()
+
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.pacf"
         kitti.write_feature_map(FeatureMap(data=np.zeros((1, 1, 1))), path)

@@ -138,6 +138,65 @@ class TestLabelPoints:
             assert fg[i] == want
 
 
+def _loop_mask(cloud, labels, calib, image_size):
+    """Reference: the per-point stamping loop the vectorized mask replaced."""
+    height, width = image_size
+    state = np.full((height, width), UNSUPERVISED, dtype=np.uint8)
+    depth = np.full((height, width), np.inf)
+    pixels = geometry.project_points(cloud, calib, image_size)
+    for i in np.nonzero(pixels.valid)[0]:
+        r = min(max(int(np.ceil(pixels.v[i] - 0.5)), 0), height - 1)
+        c = min(max(int(np.ceil(pixels.u[i] - 0.5)), 0), width - 1)
+        if pixels.depth[i] < depth[r, c]:
+            depth[r, c] = pixels.depth[i]
+            state[r, c] = FOREGROUND if labels[i] else BACKGROUND
+    return state, depth
+
+
+def _assert_same_as_loop(cloud, labels, calib, image_size, tmp_path):
+    mask = losses.make_sparse_mask(cloud, labels, calib, image_size)
+    state, depth = _loop_mask(cloud, labels, calib, image_size)
+    assert mask.state.dtype == np.uint8 and mask.depth.dtype == np.float64
+    assert mask.state.tobytes() == state.tobytes()
+    assert mask.depth.tobytes() == depth.tobytes()
+    got, want = tmp_path / "got.pgm", tmp_path / "want.pgm"
+    mask.to_pgm(got)
+    SparseMask(state=state, depth=depth).to_pgm(want)
+    assert got.read_bytes() == want.read_bytes()
+    return mask
+
+
+class TestSparseMaskMatchesLoop:
+    def test_synthetic_frame(self, synthetic_frame, tmp_path):
+        f = synthetic_frame
+        mask = _assert_same_as_loop(f["cloud"], f["fg"], f["calib"], f["image_size"], tmp_path)
+        assert (mask.state == FOREGROUND).any() and (mask.state == BACKGROUND).any()
+
+    def test_equal_depth_ties_on_one_pixel(self, tmp_path):
+        calib = make_calib(f=100.0, cx=20.0, cy=10.0)
+        # all at depth 10 on pixel (10, 20): the lowest index, 1, wins; 0 is farther
+        xyz = np.array(
+            [[12.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 0.001, 0.0], [10.0, 0.0, -0.002], [10.0, 0.0, 0.0]]
+        )
+        cloud = PointCloud(xyz=xyz, reflectance=np.zeros(5))
+        for labels, want in (([True, False, True, True, True], BACKGROUND),
+                             ([False, True, False, False, False], FOREGROUND)):
+            mask = _assert_same_as_loop(cloud, np.array(labels), calib, (20, 40), tmp_path)
+            assert mask.state[10, 20] == want
+            assert mask.supervised.sum() == 1
+
+    def test_permuted_cloud(self, synthetic_frame, tmp_path):
+        f = synthetic_frame
+        cloud = f["cloud"]
+        # duplicate every tenth point so the permutation reorders exact ties too
+        dup = np.arange(0, len(cloud), 10)
+        xyz = np.vstack([cloud.xyz, cloud.xyz[dup]])
+        labels = np.concatenate([f["fg"], ~f["fg"][dup]])
+        perm = np.random.default_rng(4).permutation(len(xyz))
+        permuted = PointCloud(xyz=xyz[perm], reflectance=np.zeros(len(xyz)))
+        _assert_same_as_loop(permuted, labels[perm], f["calib"], f["image_size"], tmp_path)
+
+
 class TestSparseMask:
     def test_single_point_stamp(self):
         calib = make_calib(f=100.0, cx=20.0, cy=10.0)

@@ -79,6 +79,14 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(data=data)
 
+    def test_float32_kept_other_dtypes_widened(self):
+        data = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
+        m = FeatureMap(data=data)
+        assert m.data.dtype == np.float32
+        assert m.data is data
+        for dtype in (np.float16, np.int32, np.float64):
+            assert FeatureMap(data=data.astype(dtype)).data.dtype == np.float64
+
 
 class TestBox3D:
     def test_bad_dims(self):
