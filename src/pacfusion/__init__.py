@@ -15,7 +15,7 @@ from .geometry import (
     RegionOfInterest,
     filter_region,
     lidar_to_camera,
-    point_in_box,
+    points_in_box,
     project_points,
     subsample,
 )

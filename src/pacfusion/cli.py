@@ -34,14 +34,22 @@ def _load_map(path) -> "kitti.FeatureMap":
 
 
 def _prepare_cloud(args, calib, image_size) -> PointCloud:
-    """ROI crop, then camera-frustum filter, then seeded subsampling."""
+    """ROI crop, then camera-frustum filter, then seeded subsampling.
+
+    A stage that leaves no point is a usage error naming that stage.
+    """
     cloud = kitti.read_velodyne(args.velodyne)
     roi = _parse_roi(args.roi)
     cloud, _ = geometry.filter_region(cloud, roi)
+    if len(cloud) == 0:
+        raise ValueError(f"{args.velodyne}: 0 points after the ROI crop")
     pixels = geometry.project_points(cloud, calib, image_size)
     visible = np.nonzero(pixels.valid)[0]
-    if len(visible):
-        cloud = geometry._take(cloud, visible)
+    if len(visible) == 0:
+        raise ValueError(
+            f"{args.velodyne}: no point in the camera frustum ({len(cloud)} points after the ROI crop)"
+        )
+    cloud = geometry._take(cloud, visible)
     cloud, _ = geometry.subsample(cloud, args.n_sample, args.seed)
     return cloud
 
@@ -92,11 +100,18 @@ def cmd_fuse(args) -> int:
     calib = kitti.read_calib(args.calib)
     fmap = _load_map(args.featuremap)
     cloud = _prepare_cloud(args, calib, (fmap.height, fmap.width))
+    d_i = fmap.channels + cloud.c_lidar + 3
     if args.params:
         params = fusion.load_params(args.params)
+        # v1 runs the checkpoint: check it fits before the per-point kNN queries
+        if args.mode == "v1" and params.k != args.k:
+            raise ValueError(f"checkpoint {args.params} has k={params.k} but --k is {args.k}")
+        if args.mode == "v1" and params.spec.d_i != d_i:
+            raise ValueError(
+                f"checkpoint {args.params} takes rows of width {params.spec.d_i} but the frame gives"
+                f" width {d_i} ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)"
+            )
     else:
-        c_lidar = cloud.c_lidar
-        d_i = fmap.channels + c_lidar + 3
         widths = args.mlp or fusion.MlpSpec.default(d_i, args.dout).widths
         params = fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), args.k, seed=args.seed)
     fused = fusion.fuse_cloud(

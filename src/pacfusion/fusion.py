@@ -11,6 +11,12 @@ of width 2*D_o + D_i. Forward and backward passes are implemented by
 hand in float64; gradients are exact reverse-mode, with the max-pool
 routing gradient to the lowest argmax slot. The MLP runs once over the
 N*K neighbor rows as one (N*K, width) matrix: one GEMM per layer.
+
+The forward pass applies each hidden ReLU in place and caches only the
+layer inputs; backward reads a layer's ReLU mask from the next layer's
+input (activation > 0 exactly where the pre-activation was). The
+max-pool caches one slot per (point, channel), and backward routes the
+pooled gradient into those slots with one scatter.
 """
 
 from __future__ import annotations
@@ -172,30 +178,31 @@ def assemble_neighbors(
     channels but their true geometric offset.
     """
     neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
-    n, k = neighbor_idx.shape
     c_seg = semantic.shape[1]
     if point_features is None:
         point_features = cloud.features
     c_lidar = 0 if point_features is None else point_features.shape[1]
     dims = fusion_dims(c_seg, c_lidar, d_o=1)  # d_o irrelevant for assembly
-    rows = np.zeros((n, k, dims.d_i))
-    valid = semantic_valid[neighbor_idx]
-    sem = semantic[neighbor_idx]
-    sem[~valid] = 0.0
-    rows[:, :, :c_seg] = sem
+    # one row per point, gathered once for all N*K neighbour slots
+    table = np.empty((len(cloud), dims.d_i))
+    table[:, :c_seg] = semantic
+    table[~semantic_valid, :c_seg] = 0.0
     if c_lidar:
-        rows[:, :, c_seg : c_seg + c_lidar] = point_features[neighbor_idx]
-    rows[:, :, c_seg + c_lidar :] = cloud.xyz[neighbor_idx] - cloud.xyz[:, None, :]
+        table[:, c_seg : c_seg + c_lidar] = point_features
+    table[:, c_seg + c_lidar :] = cloud.xyz
+    rows = table[neighbor_idx]
+    rows[:, :, c_seg + c_lidar :] -= cloud.xyz[:, None, :]
+    valid = semantic_valid[neighbor_idx]
     return NeighborFeatures(rows=rows, valid=valid, dims=dims)
 
 
 @dataclass
 class _ForwardCache:
-    rows: np.ndarray
+    rows: np.ndarray  # (N, K, D_i) neighbor rows
+    # input of each layer as (N*K, width); entry li + 1 is layer li's ReLU output
     activations: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
-    y_cc_k: np.ndarray | None = None
-    argmax: np.ndarray | None = None
+    y_cc_k: np.ndarray | None = None  # (N, K, D_o) MLP output per slot
+    argmax: np.ndarray | None = None  # (N, D_i) lowest max-pool slot per channel
     d_o: int = 0
 
 
@@ -225,31 +232,32 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
     if params.k != k:
         raise ValueError(f"aggregation has {params.k} scalars but K={k} neighbor slots")
 
-    cache = _ForwardCache(rows=rows, d_o=spec.d_o)
+    d_o = spec.d_o
+    cache = _ForwardCache(rows=rows, d_o=d_o)
     h = rows.reshape(n * k, d_i)
     n_layers = len(params.weights)
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
         cache.activations.append(h)
-        z = h @ w
-        z += b
-        cache.preacts.append(z)
-        h = np.maximum(z, 0.0) if li < n_layers - 1 else z
-    y_cc_k = h.reshape(n, k, spec.d_o)
+        h = h @ w
+        h += b
+        if li < n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    y_cc_k = h.reshape(n, k, d_o)
     cache.y_cc_k = y_cc_k
 
-    y_cc = _sorted_slot_sum(y_cc_k)
-    y_a = _sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
+    values = np.empty((n, 2 * d_o + d_i))
+    values[:, :d_o] = _sorted_slot_sum(y_cc_k)
+    values[:, d_o : 2 * d_o] = _sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
     # running max over the slots; strict > keeps ties on the lowest slot
-    y_pool = rows[:, 0].copy()
+    y_pool = values[:, 2 * d_o :]
+    y_pool[...] = rows[:, 0]
     cache.argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
     for s in range(1, k):
         better = rows[:, s] > y_pool
         np.maximum(y_pool, rows[:, s], out=y_pool)
         # s exceeds every slot stored so far, so max() stores it exactly where better
         np.maximum(cache.argmax, better * cache.argmax.dtype.type(s), out=cache.argmax)
-
-    values = np.concatenate([y_cc, y_a, y_pool], axis=1)
-    dims = FusionDims(c_seg=nf.dims.c_seg, c_lidar=nf.dims.c_lidar, d_o=spec.d_o)
+    dims = FusionDims(c_seg=nf.dims.c_seg, c_lidar=nf.dims.c_lidar, d_o=d_o)
     return FusedFeatures(values=values, dims=dims), cache
 
 
@@ -277,15 +285,19 @@ def pacf_backward(
     n_layers = len(params.weights)
     for li in range(n_layers - 1, -1, -1):
         if li < n_layers - 1:
-            np.multiply(g, cache.preacts[li] > 0, out=g)
+            np.multiply(g, cache.activations[li + 1] > 0, out=g)
         grad_w.insert(0, cache.activations[li].T @ g)
         grad_b.insert(0, g.sum(axis=0))
         g = g @ params.weights[li].T
 
+    # max-pool: each (point, channel) adds to its one argmax slot, so no flat index
+    # repeats; g is a fresh C-order GEMM result, so reshape(-1) is a view of it
+    slot = cache.argmax + np.arange(n)[:, None] * k
+    slot *= d_i
+    slot += np.arange(d_i)
+    g = g.reshape(-1)
+    g[slot] += g_pool
     grad_rows = g.reshape(n, k, d_i)
-    # max-pool routes to the lowest argmax slot per channel
-    for s in range(k):
-        np.add(grad_rows[:, s], g_pool, out=grad_rows[:, s], where=cache.argmax == s)
     return grad_w, grad_b, grad_aggr, grad_rows
 
 

@@ -108,30 +108,16 @@ def subsample(cloud: PointCloud, n: int, seed: int) -> tuple[PointCloud, np.ndar
     return _take(cloud, idx), idx
 
 
-def point_in_box(p_cam, box: Box3D, margin: float = 0.0) -> bool:
-    """True iff a camera-frame point lies inside the (margin-enlarged) box.
+def points_in_box(points_cam: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
+    """Mask of the rows of an (N, 3) camera-frame array inside the (margin-enlarged) box.
 
     KITTI boxes: the y field is the box bottom, the box spans [y - h, y];
     length runs along local x, width along local z, yawed by ry about Y.
     """
-    p = np.asarray(p_cam, dtype=np.float64).reshape(3)
-    dx, dz = p[0] - box.x, p[2] - box.z
-    c, s = np.cos(box.ry), np.sin(box.ry)
-    # rotate into the box frame (inverse of the yaw rotation)
-    lx = c * dx - s * dz
-    lz = s * dx + c * dz
-    return bool(
-        abs(lx) <= box.l / 2 + margin
-        and abs(lz) <= box.w / 2 + margin
-        and box.y - box.h - margin <= p[1] <= box.y + margin
-    )
-
-
-def points_in_box(points_cam: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
-    """Vectorized point_in_box over an (N, 3) camera-frame array."""
     p = np.asarray(points_cam, dtype=np.float64).reshape(-1, 3)
     dx, dz = p[:, 0] - box.x, p[:, 2] - box.z
     c, s = np.cos(box.ry), np.sin(box.ry)
+    # rotate into the box frame (inverse of the yaw rotation)
     lx = c * dx - s * dz
     lz = s * dx + c * dz
     return (

@@ -119,6 +119,34 @@ def test_fuse_with_checkpoint(tmp_path, synthetic_frame):
     assert kitti.read_feature_map(out_path).data.shape[2] == 2 * 3 + 4
 
 
+@pytest.mark.parametrize(
+    "widths, k_ckpt, k_flag, message",
+    [
+        ((4, 6, 3), 3, 5, "has k=3 but --k is 5"),
+        ((6, 6, 3), 3, 3, "takes rows of width 6 but the frame gives width 4"),
+    ],
+    ids=["k", "width"],
+)
+def test_fuse_checkpoint_mismatch_before_knn(synthetic_frame, capsys, monkeypatch, widths, k_ckpt, k_flag, message):
+    f = synthetic_frame
+    ckpt = f["dir"] / "params.pacw"
+    fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=widths), k=k_ckpt, seed=5), ckpt)
+
+    def no_knn(*args, **kwargs):
+        raise AssertionError("the kNN ran before the checkpoint was checked")
+
+    monkeypatch.setattr(fusion, "KdTree", no_knn)
+    code, out = run(
+        [
+            "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
+            "--params", ckpt, "--k", k_flag, "--out", f["dir"] / "o.pacf", "--n-sample", 64,
+        ],
+        capsys,
+    )
+    assert code == cli.EXIT_USAGE
+    assert message in out.err
+
+
 def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
     f = synthetic_frame
     ckpt = f["dir"] / "params.pacw"
@@ -154,6 +182,31 @@ def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, conte
     )
     assert code == cli.EXIT_FORMAT
     assert out.err.startswith("format error:")
+
+
+PREPARE_ARGV = {
+    "fuse": lambda f: ["fuse", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.pacf"],
+    "maskgen": lambda f: _maskgen_argv(f, f["labels_path"], "m"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PREPARE_ARGV))
+def test_no_point_in_frustum_exit_code(synthetic_frame, capsys, command):
+    f = synthetic_frame
+    # 5-10 m ahead and 12-15 m to the left: ~50 degrees off axis, outside the 192-px image
+    code, out = run(PREPARE_ARGV[command](f) + ["--roi", "5,10,12,15,-1,2"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "no point in the camera frustum" in out.err
+    assert "0 points after the ROI crop" not in out.err
+
+
+@pytest.mark.parametrize("command", sorted(PREPARE_ARGV))
+def test_empty_scan_exit_code(synthetic_frame, capsys, command):
+    f = synthetic_frame
+    f["velodyne"].write_bytes(b"")
+    code, out = run(PREPARE_ARGV[command](f), capsys)
+    assert code == cli.EXIT_USAGE
+    assert "0 points after the ROI crop" in out.err
 
 
 def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):

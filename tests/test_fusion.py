@@ -37,6 +37,77 @@ def naive_forward(rows, weights, biases, aggr):
     return out
 
 
+def zero_fill_assemble(cloud, semantic, neighbor_idx, semantic_valid, point_features=None):
+    """Reference: assembly into a zero-filled tensor, one gather per column block."""
+    neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
+    n, k = neighbor_idx.shape
+    c_seg = semantic.shape[1]
+    if point_features is None:
+        point_features = cloud.features
+    c_lidar = 0 if point_features is None else point_features.shape[1]
+    rows = np.zeros((n, k, c_seg + c_lidar + 3))
+    valid = semantic_valid[neighbor_idx]
+    sem = semantic[neighbor_idx]
+    sem[~valid] = 0.0
+    rows[:, :, :c_seg] = sem
+    if c_lidar:
+        rows[:, :, c_seg : c_seg + c_lidar] = point_features[neighbor_idx]
+    rows[:, :, c_seg + c_lidar :] = cloud.xyz[neighbor_idx] - cloud.xyz[:, None, :]
+    return rows, valid
+
+
+def concatenate_forward(rows, params):
+    """Reference forward: a separate ReLU output beside each cached pre-activation, blocks joined by np.concatenate."""
+    n, k, d_i = rows.shape
+    d_o = params.spec.d_o
+    activations, preacts = [], []
+    h = rows.reshape(n * k, d_i)
+    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+        activations.append(h)
+        z = h @ w
+        z += b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if li < len(params.weights) - 1 else z
+    y_cc_k = h.reshape(n, k, d_o)
+    y_cc = fusion._sorted_slot_sum(y_cc_k)
+    y_a = fusion._sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
+    y_pool = rows[:, 0].copy()
+    argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
+    for s in range(1, k):
+        better = rows[:, s] > y_pool
+        np.maximum(y_pool, rows[:, s], out=y_pool)
+        np.maximum(argmax, better * argmax.dtype.type(s), out=argmax)
+    values = np.concatenate([y_cc, y_a, y_pool], axis=1)
+    return values, (activations, preacts, y_cc_k, argmax)
+
+
+def where_loop_backward(rows, params, saved, grad_out):
+    """Reference backward: ReLU masks from the pre-activations, max-pool routed slot by slot with where=."""
+    activations, preacts, y_cc_k, argmax = saved
+    n, k, d_i = rows.shape
+    d_o = params.spec.d_o
+    g_cc, g_a, g_pool = grad_out[:, :d_o], grad_out[:, d_o : 2 * d_o], grad_out[:, 2 * d_o :]
+    grad_aggr = np.einsum("nd,nkd->k", g_a, y_cc_k)
+    g = (g_cc[:, None, :] + params.aggr_weights[None, :, None] * g_a[:, None, :]).reshape(n * k, d_o)
+    grad_w, grad_b = [], []
+    for li in range(len(params.weights) - 1, -1, -1):
+        if li < len(params.weights) - 1:
+            np.multiply(g, preacts[li] > 0, out=g)
+        grad_w.insert(0, activations[li].T @ g)
+        grad_b.insert(0, g.sum(axis=0))
+        g = g @ params.weights[li].T
+    grad_rows = g.reshape(n, k, d_i)
+    for s in range(k):
+        np.add(grad_rows[:, s], g_pool, out=grad_rows[:, s], where=argmax == s)
+    return grad_w, grad_b, grad_aggr, grad_rows
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 words: tells -0.0 from 0.0 and compares NaN payloads."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 BACKBONE = FusionDims(c_seg=4, c_lidar=128, d_o=64)
 
 
@@ -339,6 +410,67 @@ class TestAssemble:
         # valid rows carry semantic then point features then offset
         np.testing.assert_allclose(nf.rows[0, 1, :3], semantic[1])
         np.testing.assert_allclose(nf.rows[0, 1, 3:5], cloud.features[1])
+
+
+def tied_frame(k, c_lidar, n=240, seed=8):
+    """Every point twice with equal features and validity, semantics from {0, 1, 2}, ~30% invalid projections.
+
+    Slot 0 is the point itself. Slot 1 of every fifth row is the point's
+    duplicate, and every seventh row repeats one neighbour in all later
+    slots, so whole rows tie across slots.
+    """
+    rng = np.random.default_rng([seed, k, c_lidar])
+    half = n // 2
+    xyz = np.tile(rng.uniform(-5.0, 5.0, size=(half, 3)), (2, 1))
+    features = np.tile(rng.normal(size=(half, c_lidar)), (2, 1)) if c_lidar else None
+    cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n))
+    semantic = np.tile(rng.integers(0, 3, size=(half, BACKBONE.c_seg)).astype(float), (2, 1))
+    sem_valid = np.tile(rng.random(half) > 0.3, 2)
+    nbr = rng.integers(0, n, size=(n, k))
+    nbr[:, 0] = np.arange(n)
+    if k > 1:
+        nbr[::5, 1] = (np.arange(0, n, 5) + half) % n
+        nbr[::7, 1:] = nbr[::7, 1:2]
+    return cloud, semantic, nbr, sem_valid, features
+
+
+class TestReferenceBits:
+    """The operator and the assembly give the references' bits on tied, partly invalid neighbourhoods."""
+
+    CASES = [(k, c) for k in (1, 3, 5) for c in (BACKBONE.c_lidar, 0)]
+    IDS = [f"k{k}-{'backbone' if c else 'no_point_features'}" for k, c in CASES]
+
+    @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
+    def test_assemble_matches_zero_fill(self, k, c_lidar):
+        cloud, semantic, nbr, sem_valid, features = tied_frame(k, c_lidar)
+        nf = fusion.assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=features)
+        rows, valid = zero_fill_assemble(cloud, semantic, nbr, sem_valid, point_features=features)
+        assert nf.rows.shape == (len(nbr), k, BACKBONE.c_seg + c_lidar + 3)
+        assert not valid.all() and valid.any()
+        assert same_bits(nf.rows, rows)
+        np.testing.assert_array_equal(nf.valid, valid)
+
+    @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
+    def test_forward_and_backward_match_references(self, k, c_lidar):
+        cloud, semantic, nbr, sem_valid, features = tied_frame(k, c_lidar)
+        nf = fusion.assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=features)
+        if k > 1:  # whole rows tie across slots, including with slot 0
+            assert (nf.rows[:, 1:] == nf.rows[:, :1]).all(axis=2).any()
+            assert ((nf.rows == nf.rows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        d_i = nf.dims.d_i
+        params = fusion.init_params(fusion.MlpSpec(widths=(d_i, d_i, BACKBONE.d_o)), k, seed=k)
+        rng = np.random.default_rng([k, c_lidar])
+        params.aggr_weights = rng.normal(size=k)
+        grad_out = rng.normal(size=(len(nbr), 2 * BACKBONE.d_o + d_i))
+        fused, cache = fusion.pacf_forward(nf, params)
+        want_values, saved = concatenate_forward(nf.rows, params)
+        assert same_bits(fused.values, want_values)
+        got = fusion.pacf_backward(cache, params, grad_out)
+        want = where_loop_backward(nf.rows, params, saved, grad_out)
+        for got_w, want_w in zip(got[0] + got[1], want[0] + want[1]):
+            assert same_bits(got_w, want_w)
+        assert same_bits(got[2], want[2])
+        assert same_bits(got[3], want[3])
 
 
 class TestParamsIO:

@@ -107,20 +107,34 @@ class TestSubsample:
         assert len(set(idx.tolist())) == 60
 
 
+def _scalar_point_in_box(p_cam, box: Box3D, margin: float = 0.0) -> bool:
+    """Reference: the scalar per-point test that points_in_box replaced."""
+    p = np.asarray(p_cam, dtype=np.float64).reshape(3)
+    dx, dz = p[0] - box.x, p[2] - box.z
+    c, s = np.cos(box.ry), np.sin(box.ry)
+    lx = c * dx - s * dz
+    lz = s * dx + c * dz
+    return bool(
+        abs(lx) <= box.l / 2 + margin
+        and abs(lz) <= box.w / 2 + margin
+        and box.y - box.h - margin <= p[1] <= box.y + margin
+    )
+
+
 class TestPointInBox:
     BOX = Box3D(x=0, y=0, z=0, h=2, w=2, l=2, ry=0)
 
     def test_interior(self):
-        assert geometry.point_in_box((0, -1, 0), self.BOX)
+        assert geometry.points_in_box((0, -1, 0), self.BOX)[0]
 
     def test_far_outside(self):
-        assert not geometry.point_in_box((10, 0, 0), self.BOX)
+        assert not geometry.points_in_box((10, 0, 0), self.BOX)[0]
 
     def test_yawed_box(self):
         box = Box3D(x=0, y=0, z=0, h=2, w=2, l=4, ry=np.pi / 2)
-        assert geometry.point_in_box((0.9, -1, 1.9), box)
+        assert geometry.points_in_box((0.9, -1, 1.9), box)[0]
         box0 = Box3D(x=0, y=0, z=0, h=2, w=2, l=4, ry=0)
-        assert not geometry.point_in_box((0.9, -1, 1.9), box0)
+        assert not geometry.points_in_box((0.9, -1, 1.9), box0)[0]
 
     def test_yaw_periodicity(self, rng):
         for _ in range(50):
@@ -130,18 +144,18 @@ class TestPointInBox:
             shifted = ry + 2 * np.pi if ry < 0 else ry - 2 * np.pi
             # dontcare skips the [-pi, pi] range check so we can shift by 2*pi
             b = Box3D(x=0, y=0, z=0, h=2, w=1.5, l=3, ry=shifted, dontcare=True)
-            assert geometry.point_in_box(p, a) == geometry.point_in_box(p, b)
+            assert geometry.points_in_box(p, a)[0] == geometry.points_in_box(p, b)[0]
 
     def test_margin(self):
-        assert not geometry.point_in_box((1.4, -1, 0), self.BOX)
-        assert geometry.point_in_box((1.4, -1, 0), self.BOX, margin=0.5)
+        assert not geometry.points_in_box((1.4, -1, 0), self.BOX)[0]
+        assert geometry.points_in_box((1.4, -1, 0), self.BOX, margin=0.5)[0]
 
     def test_vectorized_matches_scalar(self, rng):
         box = Box3D(x=1, y=2, z=10, h=1.5, w=1.7, l=4, ry=0.7)
         pts = rng.uniform([-5, -2, 5], [7, 5, 15], size=(200, 3))
         vec = geometry.points_in_box(pts, box)
         for i, p in enumerate(pts):
-            assert vec[i] == geometry.point_in_box(p, box)
+            assert vec[i] == _scalar_point_in_box(p, box)
 
 
 def test_lidar_to_camera_chain(rng):

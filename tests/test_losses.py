@@ -134,7 +134,7 @@ class TestLabelPoints:
         fg = losses.label_points(cloud, boxes, calib)
         cam = geometry.lidar_to_camera(cloud.xyz, calib)
         for i in range(200):
-            want = any(geometry.point_in_box(cam[i], b) for b in boxes)
+            want = any(geometry.points_in_box(cam[i], b)[0] for b in boxes)
             assert fg[i] == want
 
 
