@@ -44,7 +44,7 @@ for name, preds in [("uniform 0.5", uniform), ("confidently wrong", confident_wr
     print(f"focal loss, {name}: {loss:.4f}")
 
 seg, _, _ = focal_loss(uniform, mask, cfg)
-print("total loss with external detection loss 1.2:", round(total_loss(1.2, seg, cfg.lam), 4))
+print("total loss with external detection loss 1.2:", round(total_loss(1.2, seg), 4))
 
 mask.to_pgm("mask_demo.pgm")
 print("wrote mask_demo.pgm (0 unsupervised / 128 background / 255 foreground)")

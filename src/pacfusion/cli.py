@@ -39,8 +39,7 @@ def _prepare_cloud(args, calib, image_size) -> PointCloud:
     A stage that leaves no point is a usage error naming that stage.
     """
     cloud = kitti.read_velodyne(args.velodyne)
-    roi = _parse_roi(args.roi)
-    cloud, _ = geometry.filter_region(cloud, roi)
+    cloud, _ = geometry.filter_region(cloud, args.roi)
     if len(cloud) == 0:
         raise ValueError(f"{args.velodyne}: 0 points after the ROI crop")
     pixels = geometry.project_points(cloud, calib, image_size)
@@ -54,13 +53,31 @@ def _prepare_cloud(args, calib, image_size) -> PointCloud:
     return cloud
 
 
-def _parse_roi(text: str | None) -> geometry.RegionOfInterest:
-    if not text:
-        return geometry.RegionOfInterest()
+def _parse_roi(text: str) -> geometry.RegionOfInterest:
+    """argparse type of --roi: six comma-separated bounds x0,x1,y0,y1,z0,z1."""
     vals = [float(v) for v in text.split(",")]
     if len(vals) != 6:
-        raise argparse.ArgumentTypeError("--roi needs x0,x1,y0,y1,z0,z1")
-    return geometry.RegionOfInterest(*vals)
+        raise argparse.ArgumentTypeError("needs x0,x1,y0,y1,z0,z1")
+    try:
+        return geometry.RegionOfInterest(*vals)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count and size flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _radius(text: str) -> float:
+    """argparse type of --dist: a radius >= 0, inf allowed, NaN not."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
 def _csv_rows(fmt: str, table: np.ndarray) -> str:
@@ -103,17 +120,19 @@ def cmd_fuse(args) -> int:
     d_i = fmap.channels + cloud.c_lidar + 3
     if args.params:
         params = fusion.load_params(args.params)
-        # v1 runs the checkpoint: check it fits before the per-point kNN queries
-        if args.mode == "v1" and params.k != args.k:
-            raise ValueError(f"checkpoint {args.params} has k={params.k} but --k is {args.k}")
-        if args.mode == "v1" and params.spec.d_i != d_i:
-            raise ValueError(
-                f"checkpoint {args.params} takes rows of width {params.spec.d_i} but the frame gives"
-                f" width {d_i} ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)"
-            )
+        source = f"checkpoint {args.params}"
     else:
         widths = args.mlp or fusion.MlpSpec.default(d_i, args.dout).widths
         params = fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), args.k, seed=args.seed)
+        source = "--mlp"
+    # v1 runs the operator: check it fits before the per-point kNN queries
+    if args.mode == "v1" and params.k != args.k:
+        raise ValueError(f"{source} has k={params.k} but --k is {args.k}")
+    if args.mode == "v1" and params.spec.d_i != d_i:
+        raise ValueError(
+            f"{source} takes rows of width {params.spec.d_i} but the frame gives"
+            f" width {d_i} ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)"
+        )
     fused = fusion.fuse_cloud(
         cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode
     )
@@ -142,8 +161,6 @@ def cmd_maskgen(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import check_focal_gradients, check_pacf_gradients
 
-    if args.instances < 1:
-        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     pacf_err = check_pacf_gradients(n_instances=args.instances, seed=args.seed)
     focal_err = check_focal_gradients(n_instances=args.instances, seed=args.seed)
     print(f"pacf max relative gradient error: {pacf_err:.3e}")
@@ -157,7 +174,7 @@ def cmd_bev_render(args) -> int:
     calib = kitti.read_calib(args.calib)
     fmap = _load_map(args.featuremap)
     cloud = kitti.read_velodyne(args.velodyne)
-    roi = _parse_roi(args.roi)
+    roi = args.roi
     cloud, _ = geometry.filter_region(cloud, roi)
     pixels = geometry.project_points(cloud, calib, (fmap.height, fmap.width))
     semantic, _ = fusion.retrieve_features(pixels, fmap)
@@ -180,11 +197,14 @@ def cmd_bev_render(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dist", type=float, default=np.inf)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--roi", type=str, default=None, help="x0,x1,y0,y1,z0,z1")
-    p.add_argument("--n-sample", type=int, default=16384)
+    p.add_argument("--roi", type=_parse_roi, default=geometry.RegionOfInterest(), help="x0,x1,y0,y1,z0,z1")
+    p.add_argument("--n-sample", type=_positive_int, default=16384)
+
+
+def _add_neighbors(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=_positive_int, default=3)
+    p.add_argument("--dist", type=_radius, default=np.inf)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,14 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project a velodyne scan onto the image plane (CSV)")
     p.add_argument("velodyne")
     p.add_argument("calib")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("knn", help="neighbor table, optionally verified against brute force")
     p.add_argument("velodyne")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dist", type=float, default=np.inf)
+    _add_neighbors(p)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_knn)
 
@@ -212,17 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
-    p.add_argument("--dout", type=int, default=8)
+    p.add_argument("--dout", type=_positive_int, default=8)
     p.add_argument("--mlp", type=lambda s: tuple(int(v) for v in s.split(",")), default=None)
     _add_common(p)
+    _add_neighbors(p)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("maskgen", help="sparse mask PGM + per-point label CSV")
     p.add_argument("velodyne")
     p.add_argument("calib")
     p.add_argument("labels")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
     p.add_argument("--out-mask", dest="out_mask", required=True)
     p.add_argument("--out-labels", dest="out_labels", required=True)
     _add_common(p)
@@ -230,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_positive_int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bev-render", help="top-down PPM colored by retrieved semantics")
@@ -238,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("calib")
     p.add_argument("featuremap")
     p.add_argument("--out", required=True)
-    p.add_argument("--roi", type=str, default=None)
+    p.add_argument("--roi", type=_parse_roi, default=geometry.RegionOfInterest(), help="x0,x1,y0,y1,z0,z1")
     p.set_defaults(func=cmd_bev_render)
 
     return parser

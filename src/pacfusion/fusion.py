@@ -126,7 +126,7 @@ class FusedFeatures:
     dims: FusionDims
 
 
-def retrieve_features(pixels: PixelCoords, fmap: FeatureMap, bilinear: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def retrieve_features(pixels: PixelCoords, fmap: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-point semantic vectors from the feature map.
 
     Valid pixels read the map at the nearest grid cell (round half down);
@@ -138,30 +138,9 @@ def retrieve_features(pixels: PixelCoords, fmap: FeatureMap, bilinear: bool = Fa
     idx = np.nonzero(pixels.valid)[0]
     if len(idx) == 0:
         return out, pixels.valid.copy()
-    if bilinear:
-        out[idx] = _bilinear(pixels.u[idx], pixels.v[idx], fmap)
-    else:
-        rows, cols = nearest_pixel(pixels.u[idx], pixels.v[idx], (fmap.height, fmap.width))
-        out[idx] = fmap.data[rows, cols]
+    rows, cols = nearest_pixel(pixels.u[idx], pixels.v[idx], (fmap.height, fmap.width))
+    out[idx] = fmap.data[rows, cols]
     return out, pixels.valid.copy()
-
-
-def _bilinear(u: np.ndarray, v: np.ndarray, fmap: FeatureMap) -> np.ndarray:
-    u = np.clip(u, 0.0, fmap.width - 1.0)
-    v = np.clip(v, 0.0, fmap.height - 1.0)
-    u0 = np.clip(np.floor(u).astype(np.int64), 0, fmap.width - 2) if fmap.width > 1 else np.zeros(len(u), np.int64)
-    v0 = np.clip(np.floor(v).astype(np.int64), 0, fmap.height - 2) if fmap.height > 1 else np.zeros(len(v), np.int64)
-    u1 = np.minimum(u0 + 1, fmap.width - 1)
-    v1 = np.minimum(v0 + 1, fmap.height - 1)
-    fu = (u - u0)[:, None]
-    fv = (v - v0)[:, None]
-    d = fmap.data
-    return (
-        d[v0, u0] * (1 - fu) * (1 - fv)
-        + d[v0, u1] * fu * (1 - fv)
-        + d[v1, u0] * (1 - fu) * fv
-        + d[v1, u1] * fu * fv
-    )
 
 
 def assemble_neighbors(
@@ -309,28 +288,20 @@ def fuse_cloud(
     k: int = 3,
     d: float = np.inf,
     mode: str = "v1",
-    bilinear: bool = False,
-    use_reflectance: bool = False,
 ) -> PointCloud:
     """Run retrieval (+ fusion) over a whole cloud.
 
     v1: output features are the full operator output per point.
     v2: output features are [semantic | existing point features] only,
     with no convolution (the input-level fusion strategy).
-    use_reflectance folds the reflectance scalar into the point-feature
-    block (off by default; it is carried but not fused otherwise).
     """
     mode = mode.lower()
     if mode not in ("v1", "v2"):
         raise ValueError(f"mode must be v1 or v2, got {mode!r}")
     pixels = project_points(cloud, calib, (fmap.height, fmap.width))
-    semantic, sem_valid = retrieve_features(pixels, fmap, bilinear=bilinear)
-    point_features = cloud.features
-    if use_reflectance:
-        refl = cloud.reflectance[:, None]
-        point_features = refl if point_features is None else np.hstack([point_features, refl])
+    semantic, sem_valid = retrieve_features(pixels, fmap)
     if mode == "v2":
-        feats = semantic if point_features is None else np.hstack([semantic, point_features])
+        feats = semantic if cloud.features is None else np.hstack([semantic, cloud.features])
         return PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, features=feats)
     if params is None:
         raise ValueError("v1 fusion requires operator parameters")
@@ -338,7 +309,7 @@ def fuse_cloud(
     nbr = np.empty((len(cloud), k), dtype=np.int64)
     for i in range(len(cloud)):
         nbr[i] = tree.query(cloud.xyz[i], k=k, d=d).indices
-    nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=point_features)
+    nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=cloud.features)
     fused, _ = pacf_forward(nf, params)
     return PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, features=fused.values)
 

@@ -108,8 +108,8 @@ def subsample(cloud: PointCloud, n: int, seed: int) -> tuple[PointCloud, np.ndar
     return _take(cloud, idx), idx
 
 
-def points_in_box(points_cam: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
-    """Mask of the rows of an (N, 3) camera-frame array inside the (margin-enlarged) box.
+def points_in_box(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
+    """Mask of the rows of an (N, 3) camera-frame array inside the box.
 
     KITTI boxes: the y field is the box bottom, the box spans [y - h, y];
     length runs along local x, width along local z, yawed by ry about Y.
@@ -121,10 +121,10 @@ def points_in_box(points_cam: np.ndarray, box: Box3D, margin: float = 0.0) -> np
     lx = c * dx - s * dz
     lz = s * dx + c * dz
     return (
-        (np.abs(lx) <= box.l / 2 + margin)
-        & (np.abs(lz) <= box.w / 2 + margin)
-        & (p[:, 1] >= box.y - box.h - margin)
-        & (p[:, 1] <= box.y + margin)
+        (np.abs(lx) <= box.l / 2)
+        & (np.abs(lz) <= box.w / 2)
+        & (p[:, 1] >= box.y - box.h)
+        & (p[:, 1] <= box.y)
     )
 
 

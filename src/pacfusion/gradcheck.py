@@ -27,7 +27,7 @@ def random_instance(rng: np.random.Generator, k=3, c_seg=2, c_lidar=4, d_o=5, hi
     return nf, params
 
 
-def check_pacf_gradients(n_instances: int = 20, seed: int = 0, h: float = FD_STEP) -> float:
+def check_pacf_gradients(n_instances: int = 20, seed: int = 0) -> float:
     """Max relative error over all MLP weights, biases and aggregation scalars."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -50,17 +50,17 @@ def check_pacf_gradients(n_instances: int = 20, seed: int = 0, h: float = FD_STE
             probes = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
             for j in probes:
                 orig = flat[j]
-                flat[j] = orig + h
+                flat[j] = orig + FD_STEP
                 f_plus = objective()
-                flat[j] = orig - h
+                flat[j] = orig - FD_STEP
                 f_minus = objective()
                 flat[j] = orig
-                numeric = (f_plus - f_minus) / (2 * h)
+                numeric = (f_plus - f_minus) / (2 * FD_STEP)
                 worst = max(worst, rel_error(gflat[j], numeric))
     return worst
 
 
-def check_focal_gradients(n_instances: int = 20, seed: int = 0, h: float = FD_STEP) -> float:
+def check_focal_gradients(n_instances: int = 20, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
@@ -76,11 +76,11 @@ def check_focal_gradients(n_instances: int = 20, seed: int = 0, h: float = FD_ST
         _, grad, _ = losses.focal_loss(preds, mask, cfg)
         for r in range(hh):
             for c in range(ww):
-                preds[r, c] += h
+                preds[r, c] += FD_STEP
                 f_plus, _, _ = losses.focal_loss(preds, mask, cfg)
-                preds[r, c] -= 2 * h
+                preds[r, c] -= 2 * FD_STEP
                 f_minus, _, _ = losses.focal_loss(preds, mask, cfg)
-                preds[r, c] += h
-                numeric = (f_plus - f_minus) / (2 * h)
+                preds[r, c] += FD_STEP
+                numeric = (f_plus - f_minus) / (2 * FD_STEP)
                 worst = max(worst, rel_error(grad[r, c], numeric))
     return worst

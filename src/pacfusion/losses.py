@@ -25,15 +25,12 @@ PROB_EPS = 1e-7
 class FocalLossConfig:
     alpha: float = 0.25
     gamma: float = 2.0
-    lam: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
 
 
 @dataclass
@@ -53,22 +50,13 @@ class SparseMask:
         write_pgm(levels[self.state], path)
 
 
-def label_points(
-    cloud: PointCloud,
-    boxes: list[Box3D],
-    calib: CalibrationSet,
-    margin: float = 0.0,
-    class_filter: str | None = None,
-) -> np.ndarray:
+def label_points(cloud: PointCloud, boxes: list[Box3D], calib: CalibrationSet) -> np.ndarray:
     """Per-point foreground flags: inside any non-DontCare box."""
     cam = lidar_to_camera(cloud.xyz, calib)
     fg = np.zeros(len(cloud), dtype=bool)
     for box in boxes:
-        if box.dontcare:
-            continue
-        if class_filter is not None and box.label != class_filter:
-            continue
-        fg |= points_in_box(cam, box, margin)
+        if not box.dontcare:
+            fg |= points_in_box(cam, box)
     return fg
 
 

@@ -209,6 +209,49 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
     assert "0 points after the ROI crop" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--roi", "1,2,3"], "--roi"),
+        (lambda f: ["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out",
+                    f["dir"] / "b.ppm", "--roi", "5,1,-1,1,-1,1"], "--roi"),
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--k", 0], "--k"),
+        (lambda f: ["knn", f["velodyne"], "--k", -2], "--k"),
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--dist", -0.5], "--dist"),
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--dist", "nan"], "--dist"),
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--dout", 0], "--dout"),
+        (lambda f: PREPARE_ARGV["maskgen"](f) + ["--n-sample", 0], "--n-sample"),
+        (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", -1, "--width", 192], "--height"),
+        (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 0], "--width"),
+        (lambda f: PREPARE_ARGV["maskgen"](f) + ["--height", 0], "--height"),
+    ],
+    ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
+         "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero"],
+)
+def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
+    code, out = run(argv(synthetic_frame), capsys)
+    assert code == cli.EXIT_USAGE
+    assert f"argument {flag}:" in out.err
+
+
+def test_dist_accepts_zero_and_inf():
+    parser = cli.build_parser()
+    for text, want in (("0", 0.0), ("inf", np.inf), ("2.5", 2.5)):
+        assert parser.parse_args(["knn", "scan.bin", "--dist", text]).dist == want
+
+
+def test_fuse_mlp_width_mismatch_before_knn(synthetic_frame, capsys, monkeypatch):
+    f = synthetic_frame
+
+    def no_knn(*args, **kwargs):
+        raise AssertionError("the kNN ran before the --mlp widths were checked")
+
+    monkeypatch.setattr(fusion, "KdTree", no_knn)
+    code, out = run(PREPARE_ARGV["fuse"](f) + ["--mlp", "6,8,8", "--n-sample", 64], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--mlp takes rows of width 6 but the frame gives width 4" in out.err
+
+
 def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     f = synthetic_frame
     out_mask = f["dir"] / "mask.pgm"

@@ -362,17 +362,7 @@ class TestRetrieval:
         # direct indexing oracle
         np.testing.assert_array_equal(vecs, fmap.data[vs.ravel(), us.ravel()])
 
-    def test_bilinear_midpoint(self):
-        fmap = FeatureMap(data=np.array([[[0.0], [1.0]]]))
-        px = PixelCoords(
-            u=np.array([0.5]), v=np.array([0.0]), depth=np.array([1.0]), valid=np.array([True])
-        )
-        vecs, _ = fusion.retrieve_features(px, fmap, bilinear=True)
-        assert vecs[0, 0] == pytest.approx(0.5)
-
-
-    @pytest.mark.parametrize("bilinear", [False, True], ids=["nearest", "bilinear"])
-    def test_float32_map_same_bits_as_widened(self, rng, bilinear):
+    def test_float32_map_same_bits_as_widened(self, rng):
         data = rng.normal(size=(9, 13, 3)).astype(np.float32)
         n = 400
         px = PixelCoords(
@@ -382,8 +372,8 @@ class TestRetrieval:
         narrow = FeatureMap(data=data)
         wide = FeatureMap(data=data.astype(np.float64))
         assert narrow.data.dtype == np.float32
-        got, got_valid = fusion.retrieve_features(px, narrow, bilinear=bilinear)
-        want, want_valid = fusion.retrieve_features(px, wide, bilinear=bilinear)
+        got, got_valid = fusion.retrieve_features(px, narrow)
+        want, want_valid = fusion.retrieve_features(px, wide)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(got_valid, want_valid)
@@ -530,14 +520,6 @@ class TestFuseCloud:
         out = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
         assert out.features.shape == (30, 2 + 4)
         np.testing.assert_array_equal(out.features[:, 2:], cloud.features)
-
-    def test_reflectance_fold_in(self, rng):
-        cloud = random_cloud(rng, 20)
-        fmap = FeatureMap(data=rng.uniform(0, 1, size=(32, 64, 2)))
-        calib = make_calib(cx=32.0, cy=16.0)
-        out = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2", use_reflectance=True)
-        assert out.features.shape == (20, 2 + 1)
-        np.testing.assert_array_equal(out.features[:, 2], cloud.reflectance)
 
     def test_bad_mode(self, rng):
         cloud = random_cloud(rng, 5)

@@ -107,7 +107,7 @@ class TestSubsample:
         assert len(set(idx.tolist())) == 60
 
 
-def _scalar_point_in_box(p_cam, box: Box3D, margin: float = 0.0) -> bool:
+def _scalar_point_in_box(p_cam, box: Box3D) -> bool:
     """Reference: the scalar per-point test that points_in_box replaced."""
     p = np.asarray(p_cam, dtype=np.float64).reshape(3)
     dx, dz = p[0] - box.x, p[2] - box.z
@@ -115,9 +115,9 @@ def _scalar_point_in_box(p_cam, box: Box3D, margin: float = 0.0) -> bool:
     lx = c * dx - s * dz
     lz = s * dx + c * dz
     return bool(
-        abs(lx) <= box.l / 2 + margin
-        and abs(lz) <= box.w / 2 + margin
-        and box.y - box.h - margin <= p[1] <= box.y + margin
+        abs(lx) <= box.l / 2
+        and abs(lz) <= box.w / 2
+        and box.y - box.h <= p[1] <= box.y
     )
 
 
@@ -146,9 +146,8 @@ class TestPointInBox:
             b = Box3D(x=0, y=0, z=0, h=2, w=1.5, l=3, ry=shifted, dontcare=True)
             assert geometry.points_in_box(p, a)[0] == geometry.points_in_box(p, b)[0]
 
-    def test_margin(self):
+    def test_just_outside(self):
         assert not geometry.points_in_box((1.4, -1, 0), self.BOX)[0]
-        assert geometry.points_in_box((1.4, -1, 0), self.BOX, margin=0.5)[0]
 
     def test_vectorized_matches_scalar(self, rng):
         box = Box3D(x=1, y=2, z=10, h=1.5, w=1.7, l=4, ry=0.7)
