@@ -1,13 +1,6 @@
 """Point cloud / image feature fusion with attentive continuous convolution."""
 
-from .types import (
-    Box3D,
-    FeatureMap,
-    FusionDims,
-    InvalidDimensionError,
-    PointCloud,
-    fusion_dims,
-)
+from .types import Box3D, FeatureMap, FusionDims, PointCloud
 from .kitti import CalibrationSet, FormatError
 from .kdtree import KdTree, NeighborSet, knn_brute, knn_query
 from .geometry import (

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion, geometry, kdtree, kitti, losses
-from .types import PointCloud
+from .types import FusionDims, PointCloud
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,6 +72,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's generators need."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _radius(text: str) -> float:
     """argparse type of --dist: a radius >= 0, inf allowed, NaN not."""
     value = float(text)
@@ -117,21 +125,20 @@ def cmd_fuse(args) -> int:
     calib = kitti.read_calib(args.calib)
     fmap = _load_map(args.featuremap)
     cloud = _prepare_cloud(args, calib, (fmap.height, fmap.width))
-    d_i = fmap.channels + cloud.c_lidar + 3
-    if args.params:
-        params = fusion.load_params(args.params)
-        source = f"checkpoint {args.params}"
-    else:
-        widths = args.mlp or fusion.MlpSpec.default(d_i, args.dout).widths
-        params = fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), args.k, seed=args.seed)
-        source = "--mlp"
-    # v1 runs the operator: check it fits before the per-point kNN queries
-    if args.mode == "v1" and params.k != args.k:
-        raise ValueError(f"{source} has k={params.k} but --k is {args.k}")
-    if args.mode == "v1" and params.spec.d_i != d_i:
-        raise ValueError(
-            f"{source} takes rows of width {params.spec.d_i} but the frame gives"
-            f" width {d_i} ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)"
+    params = None
+    if args.mode == "v1":
+        dims = FusionDims(fmap.channels, cloud.c_lidar, args.dout)
+        if args.params:
+            params = fusion.load_params(args.params)
+            source = f"checkpoint {args.params}"
+        else:
+            widths = args.mlp or fusion.MlpSpec.default(dims.d_i, dims.d_o).widths
+            params = fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), args.k, seed=args.seed)
+            source = "--mlp"
+        # check the operator fits before the per-point kNN queries
+        params.check_fit(
+            args.k, dims.d_i, source, k_name="--k is ", rows="the frame gives",
+            breakdown=f" ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)",
         )
     fused = fusion.fuse_cloud(
         cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode
@@ -197,7 +204,7 @@ def cmd_bev_render(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--roi", type=_parse_roi, default=geometry.RegionOfInterest(), help="x0,x1,y0,y1,z0,z1")
     p.add_argument("--n-sample", type=_positive_int, default=16384)
 
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_maskgen)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--instances", type=_positive_int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 

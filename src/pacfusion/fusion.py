@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import PixelCoords, nearest_pixel, project_points
 from .kdtree import KdTree
 from .kitti import CalibrationSet, FormatError
-from .types import FeatureMap, FusionDims, PointCloud, fusion_dims
+from .types import FeatureMap, FusionDims, PointCloud
 
 PARAMS_MAGIC = b"PACW"
 PARAMS_VERSION = 1
@@ -91,6 +91,16 @@ class PacfParams:
     def spec(self) -> MlpSpec:
         return MlpSpec(widths=(self.weights[0].shape[0], *(w.shape[1] for w in self.weights)))
 
+    def check_fit(
+        self, k: int, d_i: int, source: str = "the operator", k_name: str = "K=",
+        rows: str = "the neighbor rows give", breakdown: str = "",
+    ) -> None:
+        """Raise ValueError unless these parameters take K=k neighbor slots of rows of width d_i."""
+        if self.k != k:
+            raise ValueError(f"{source} has k={self.k} but {k_name}{k}")
+        if self.spec.d_i != d_i:
+            raise ValueError(f"{source} takes rows of width {self.spec.d_i} but {rows} width {d_i}{breakdown}")
+
 
 def init_params(spec: MlpSpec, k: int, seed: int = 0) -> PacfParams:
     """Glorot-uniform MLP weights; aggregation scalars start at 1/K."""
@@ -123,7 +133,6 @@ class FusedFeatures:
     """Operator output, one row of width 2*D_o + D_i per target point."""
 
     values: np.ndarray  # (N, 2*D_o + D_i)
-    dims: FusionDims
 
 
 def retrieve_features(pixels: PixelCoords, fmap: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +170,7 @@ def assemble_neighbors(
     if point_features is None:
         point_features = cloud.features
     c_lidar = 0 if point_features is None else point_features.shape[1]
-    dims = fusion_dims(c_seg, c_lidar, d_o=1)  # d_o irrelevant for assembly
+    dims = FusionDims(c_seg, c_lidar, d_o=1)  # d_o irrelevant for assembly
     # one row per point, gathered once for all N*K neighbour slots
     table = np.empty((len(cloud), dims.d_i))
     table[:, :c_seg] = semantic
@@ -182,7 +191,6 @@ class _ForwardCache:
     activations: list[np.ndarray] = field(default_factory=list)
     y_cc_k: np.ndarray | None = None  # (N, K, D_o) MLP output per slot
     argmax: np.ndarray | None = None  # (N, D_i) lowest max-pool slot per channel
-    d_o: int = 0
 
 
 def _sorted_slot_sum(v: np.ndarray) -> np.ndarray:
@@ -205,14 +213,10 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
     """Forward pass; returns output rows and the cache for backward."""
     rows = nf.rows
     n, k, d_i = rows.shape
-    spec = params.spec
-    if spec.d_i != d_i:
-        raise ValueError(f"MLP input width {spec.d_i} != neighbor row width {d_i}")
-    if params.k != k:
-        raise ValueError(f"aggregation has {params.k} scalars but K={k} neighbor slots")
+    params.check_fit(k, d_i)
 
-    d_o = spec.d_o
-    cache = _ForwardCache(rows=rows, d_o=d_o)
+    d_o = params.spec.d_o
+    cache = _ForwardCache(rows=rows)
     h = rows.reshape(n * k, d_i)
     n_layers = len(params.weights)
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -236,8 +240,7 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
         np.maximum(y_pool, rows[:, s], out=y_pool)
         # s exceeds every slot stored so far, so max() stores it exactly where better
         np.maximum(cache.argmax, better * cache.argmax.dtype.type(s), out=cache.argmax)
-    dims = FusionDims(c_seg=nf.dims.c_seg, c_lidar=nf.dims.c_lidar, d_o=d_o)
-    return FusedFeatures(values=values, dims=dims), cache
+    return FusedFeatures(values=values), cache
 
 
 def pacf_backward(
@@ -249,7 +252,7 @@ def pacf_backward(
     Returns (grad_weights, grad_biases, grad_aggr, grad_rows).
     """
     n, k, d_i = cache.rows.shape
-    d_o = cache.d_o
+    d_o = cache.y_cc_k.shape[2]
     g_cc = grad_out[:, :d_o]
     g_a = grad_out[:, d_o : 2 * d_o]
     g_pool = grad_out[:, 2 * d_o :]

@@ -68,7 +68,7 @@ def check_focal_gradients(n_instances: int = 20, seed: int = 0) -> float:
         state = rng.integers(0, 3, size=(hh, ww)).astype(np.uint8)
         if not np.any(state):
             state[0, 0] = losses.FOREGROUND
-        mask = losses.SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+        mask = losses.SparseMask(state=state)
         preds = rng.uniform(0.05, 0.95, size=(hh, ww))
         cfg = losses.FocalLossConfig(
             alpha=float(rng.uniform(0.1, 0.9)), gamma=float(rng.choice([0.0, 1.0, 2.0]))

@@ -52,7 +52,7 @@ class CalibrationSet:
             ("Tr_velo_to_cam", self.Tr_velo_to_cam[:, :3]),
         ):
             err = np.abs(rot @ rot.T - np.eye(3)).max()
-            if err > _ORTHO_TOL:
+            if not err <= _ORTHO_TOL:  # NaN fails too
                 raise FormatError(f"{name} rotation not orthonormal (max deviation {err:.2e})")
 
     @classmethod
@@ -78,7 +78,10 @@ def decode_velodyne(raw: bytes) -> PointCloud:
     bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
     if len(bad):
         raise FormatError(f"non-finite velodyne record at index {bad[0]}")
-    return PointCloud(xyz=data[:, :3], reflectance=data[:, 3])
+    try:
+        return PointCloud(xyz=data[:, :3], reflectance=data[:, 3])
+    except ValueError as exc:
+        raise FormatError(f"velodyne payload: {exc}") from None
 
 
 def encode_velodyne(cloud: PointCloud) -> bytes:
@@ -119,6 +122,8 @@ def read_calib(path) -> CalibrationSet:
             values[key] = np.array([float(v) for v in fields])
         except ValueError as exc:
             raise FormatError(f"calibration key {key}: {exc}") from None
+        if not np.all(np.isfinite(values[key])):
+            raise FormatError(f"calibration key {key}: non-finite value")
     for key in _CALIB_KEYS:
         if key not in values:
             raise FormatError(f"calibration file missing key {key}")
@@ -143,11 +148,13 @@ def read_labels(path) -> list[Box3D]:
             h, w, l = (float(v) for v in fields[8:11])
             x, y, z = (float(v) for v in fields[11:14])
             ry = float(fields[14])
+            if not np.all(np.isfinite([h, w, l, x, y, z, ry])):
+                raise ValueError("box fields must be finite")
+            boxes.append(
+                Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=ry, label=kind, dontcare=kind == "DontCare")
+            )
         except ValueError as exc:
             raise FormatError(f"label line {lineno}: {exc}") from exc
-        boxes.append(
-            Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=ry, label=kind, dontcare=kind == "DontCare")
-        )
     return boxes
 
 

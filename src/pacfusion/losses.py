@@ -35,10 +35,9 @@ class FocalLossConfig:
 
 @dataclass
 class SparseMask:
-    """Per-pixel supervision state with the stamping point's depth."""
+    """Per-pixel supervision state."""
 
     state: np.ndarray  # (H, W) uint8 in {UNSUPERVISED, BACKGROUND, FOREGROUND}
-    depth: np.ndarray  # (H, W) float, inf where unsupervised
 
     @property
     def supervised(self) -> np.ndarray:
@@ -75,22 +74,18 @@ def make_sparse_mask(
     """
     height, width = image_size
     state = np.full((height, width), UNSUPERVISED, dtype=np.uint8)
-    depth = np.full((height, width), np.inf)
     pixels = project_points(cloud, calib, image_size)
     idx = np.nonzero(pixels.valid)[0]
     order = idx[np.lexsort((idx, pixels.depth[idx]))]  # nearest first, lower index on ties
     rows, cols = nearest_pixel(pixels.u[order], pixels.v[order], image_size)
     flat, first = np.unique(rows * width + cols, return_index=True)  # first point per pixel
-    winners = order[first]
-    depth.flat[flat] = pixels.depth[winners]
-    state.flat[flat] = np.where(np.asarray(labels)[winners], FOREGROUND, BACKGROUND)
+    state.flat[flat] = np.where(np.asarray(labels)[order[first]], FOREGROUND, BACKGROUND)
     for box in dontcare_boxes or []:
         rect = _box_image_extent(box, calib, image_size)
         if rect is not None:
             r0, r1, c0, c1 = rect
             state[r0:r1, c0:c1] = UNSUPERVISED
-            depth[r0:r1, c0:c1] = np.inf
-    return SparseMask(state=state, depth=depth)
+    return SparseMask(state=state)
 
 
 def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[int, int, int, int] | None:

@@ -12,10 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class InvalidDimensionError(ValueError):
-    """Raised when channel counts or shapes violate the fusion dimension algebra."""
-
-
 @dataclass(frozen=True)
 class FusionDims:
     """Channel bookkeeping for the fusion operator.
@@ -29,6 +25,11 @@ class FusionDims:
     c_lidar: int
     d_o: int
 
+    def __post_init__(self) -> None:
+        for name, low in (("c_seg", 1), ("c_lidar", 0), ("d_o", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
     @property
     def d_i(self) -> int:
         return self.c_seg + self.c_lidar + 3
@@ -36,17 +37,6 @@ class FusionDims:
     @property
     def out_width(self) -> int:
         return 2 * self.d_o + self.d_i
-
-
-def fusion_dims(c_seg: int, c_lidar: int, d_o: int) -> FusionDims:
-    """Validate channel counts and return the derived dimension set."""
-    if c_seg < 1:
-        raise InvalidDimensionError(f"c_seg must be >= 1, got {c_seg}")
-    if c_lidar < 0:
-        raise InvalidDimensionError(f"c_lidar must be >= 0, got {c_lidar}")
-    if d_o < 1:
-        raise InvalidDimensionError(f"d_o must be >= 1, got {d_o}")
-    return FusionDims(c_seg=c_seg, c_lidar=c_lidar, d_o=d_o)
 
 
 @dataclass
@@ -100,7 +90,7 @@ class FeatureMap:
         if self.data.ndim != 3:
             raise ValueError(f"feature map must be (H, W, C), got shape {self.data.shape}")
         if self.data.shape[2] < 1:
-            raise InvalidDimensionError("feature map needs at least one channel")
+            raise ValueError("feature map needs at least one channel")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature map values must be finite")
 

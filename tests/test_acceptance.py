@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pacfusion import cli, fusion, geometry, kdtree, kitti, losses
-from pacfusion.types import FeatureMap, FusionDims, PointCloud, fusion_dims
+from pacfusion.types import FeatureMap, FusionDims, PointCloud
 
 from conftest import make_calib
 from test_fusion import make_nf, naive_forward
@@ -93,7 +93,7 @@ def test_criterion_4_algebraic_reductions():
     # gamma=0, alpha=0.5 halves binary cross-entropy on supervised pixels
     state = rng.integers(0, 3, size=(6, 6)).astype(np.uint8)
     state[0, 0] = losses.FOREGROUND
-    mask = losses.SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+    mask = losses.SparseMask(state=state)
     preds = rng.uniform(0.05, 0.95, size=(6, 6))
     loss, _, _ = losses.focal_loss(preds, mask, losses.FocalLossConfig(alpha=0.5, gamma=0.0))
     sup = state != losses.UNSUPERVISED
@@ -104,12 +104,8 @@ def test_criterion_4_algebraic_reductions():
 
 
 def test_criterion_5_focal_point_values():
-    fg_mask = losses.SparseMask(
-        state=np.array([[losses.FOREGROUND]], dtype=np.uint8), depth=np.ones((1, 1))
-    )
-    bg_mask = losses.SparseMask(
-        state=np.array([[losses.BACKGROUND]], dtype=np.uint8), depth=np.ones((1, 1))
-    )
+    fg_mask = losses.SparseMask(state=np.array([[losses.FOREGROUND]], dtype=np.uint8))
+    bg_mask = losses.SparseMask(state=np.array([[losses.BACKGROUND]], dtype=np.uint8))
     half = np.array([[0.5]])
     fg_loss, _, _ = losses.focal_loss(half, fg_mask)
     bg_loss, _, _ = losses.focal_loss(half, bg_mask)
@@ -149,7 +145,7 @@ def test_criterion_7_dimension_contract():
         c_seg = int(rng.integers(1, 9))
         c_lidar = int(rng.integers(0, 9))
         d_o = int(rng.integers(1, 9))
-        dims = fusion_dims(c_seg, c_lidar, d_o)
+        dims = FusionDims(c_seg, c_lidar, d_o)
         ok &= dims.d_i == c_seg + c_lidar + 3
         for k in (1, 2, 3, 5):
             nf = make_nf(rng, n=2, k=k, dims=dims)

@@ -163,6 +163,13 @@ def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
         assert code == cli.EXIT_FORMAT
 
 
+NAN_CALIB = (
+    b"P2: 100 0 96 0 0 100 32 0 0 0 1 0\n"
+    b"R0_rect: 1 0 0 0 1 0 0 0 1\n"
+    b"Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0\n"
+)
+
+
 @pytest.mark.parametrize(
     "bad_file, contents",
     [
@@ -170,8 +177,12 @@ def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
         ("featuremap_path", b"P5\n-1 -1\n255\n\x00"),
         ("calib_path", b"P2: 721.5 abc 0 0 0 1 0 0 0 0 1 0\n"),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 2, 2, 0)),
+        ("velodyne", struct.pack("<4f", 10, 0, 0, 0.5) + struct.pack("<4f", 12, 0, 0, 1.5)),
+        ("calib_path", NAN_CALIB.replace(b"P2: 100", b"P2: nan")),
+        ("calib_path", NAN_CALIB.replace(b"R0_rect: 1", b"R0_rect: nan")),
     ],
-    ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels"],
+    ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels",
+         "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0"],
 )
 def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, contents):
     f = synthetic_frame
@@ -224,9 +235,13 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", -1, "--width", 192], "--height"),
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 0], "--width"),
         (lambda f: PREPARE_ARGV["maskgen"](f) + ["--height", 0], "--height"),
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--seed", -1], "--seed"),
+        (lambda f: PREPARE_ARGV["maskgen"](f) + ["--seed", -3], "--seed"),
+        (lambda f: ["gradcheck", "--seed", -1], "--seed"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
-         "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero"],
+         "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
+         "maskgen_seed_negative", "gradcheck_seed_negative"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -252,6 +267,26 @@ def test_fuse_mlp_width_mismatch_before_knn(synthetic_frame, capsys, monkeypatch
     assert "--mlp takes rows of width 6 but the frame gives width 4" in out.err
 
 
+def test_fuse_v2_builds_no_operator(synthetic_frame, capsys, monkeypatch):
+    f = synthetic_frame
+    argv = PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 128]
+    code, want = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    want_bytes = (f["dir"] / "o.pacf").read_bytes()
+
+    def no_params(*args, **kwargs):
+        raise AssertionError("fuse --mode v2 built operator parameters")
+
+    monkeypatch.setattr(fusion, "load_params", no_params)
+    monkeypatch.setattr(fusion, "init_params", no_params)
+    (f["dir"] / "o.pacf").unlink()
+    # v2 never reads the checkpoint, so a file that is not one must not fail the run
+    code, out = run(argv + ["--params", f["calib_path"]], capsys)
+    assert code == cli.EXIT_OK
+    assert (out.out, out.err) == (want.out, want.err)
+    assert (f["dir"] / "o.pacf").read_bytes() == want_bytes
+
+
 def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     f = synthetic_frame
     out_mask = f["dir"] / "mask.pgm"
@@ -271,6 +306,16 @@ def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
     lines = out_labels.read_text().strip().splitlines()
     assert lines[0] == "index,x,y,z,foreground"
     assert len(lines) == 513
+
+
+@pytest.mark.parametrize("box", ["-1 1 1 0 0 5 0", "1 1 1 0 0 5 4"], ids=["negative_height", "ry_outside_pi"])
+def test_maskgen_bad_box_exit_code(synthetic_frame, capsys, box):
+    f = synthetic_frame
+    labels = f["dir"] / "bad_labels.txt"
+    labels.write_text(f"Car 0.0 0 0.0 0 0 10 10 {box}\n")
+    code, out = run(_maskgen_argv(f, labels, "bad"), capsys)
+    assert code == cli.EXIT_FORMAT
+    assert out.err.startswith("format error: label line 1:")
 
 
 def _maskgen_argv(f, labels_path, tag):

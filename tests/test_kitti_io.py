@@ -34,6 +34,11 @@ class TestVelodyne:
         with pytest.raises(kitti.FormatError, match="index 1"):
             kitti.decode_velodyne(raw)
 
+    def test_reflectance_out_of_range(self):
+        raw = struct.pack("<4f", 1, 2, 3, 0.5) + struct.pack("<4f", 4, 5, 6, -0.25)
+        with pytest.raises(kitti.FormatError, match="reflectance"):
+            kitti.decode_velodyne(raw)
+
     def test_roundtrip_random(self, rng):
         for _ in range(100):
             n = int(rng.integers(0, 50))
@@ -97,6 +102,25 @@ class TestCalib:
         calib = kitti.read_calib(path)
         assert calib.P2[0, 0] == 1.0
 
+    @pytest.mark.parametrize("key", ["P2", "R0_rect"])
+    def test_non_finite_value_names_key(self, tmp_path, key):
+        path = tmp_path / "calib.txt"
+        path.write_text(
+            "P2: 1 0 0 0 0 1 0 0 0 0 1 0\n"
+            "R0_rect: 1 0 0 0 1 0 0 0 1\n"
+            "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n".replace(f"{key}: 1", f"{key}: nan")
+        )
+        with pytest.raises(kitti.FormatError, match=f"{key}: non-finite"):
+            kitti.read_calib(path)
+
+    def test_nan_rotation_not_orthonormal(self):
+        r0 = np.eye(3)
+        r0[0, 0] = np.nan
+        with pytest.raises(kitti.FormatError, match="R0_rect"):
+            kitti.CalibrationSet(
+                P2=np.zeros((3, 4)), R0_rect=r0, Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))])
+            )
+
     def test_non_orthonormal_rejected(self):
         with pytest.raises(kitti.FormatError, match="R0_rect"):
             kitti.CalibrationSet(
@@ -121,6 +145,20 @@ class TestLabels:
         assert car.ry == -1.59
         assert not car.dontcare
         assert boxes[1].dontcare
+
+    @pytest.mark.parametrize(
+        "kind, box",
+        [("Car", "-1 1 1 0 0 5 0"), ("Car", "1 1 0 0 0 5 0"), ("Car", "1 1 1 0 0 5 4"), ("Car", "1 1 1 0 0 5 -3.2"),
+         ("Car", "nan 1 1 0 0 5 0"), ("DontCare", "-1 -1 -1 nan -1000 -1000 -10")],
+    )
+    def test_invalid_box_names_line(self, tmp_path, kind, box):
+        path = tmp_path / "labels.txt"
+        path.write_text(
+            "DontCare -1 -1 -10 503 169 590 190 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            f"{kind} 0.00 0 -1.58 587 173 614 200 {box}\n"
+        )
+        with pytest.raises(kitti.FormatError, match="label line 2:"):
+            kitti.read_labels(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "labels.txt"

@@ -9,9 +9,7 @@ from conftest import make_calib
 
 
 def _mask_single(state_val, h=1, w=1):
-    state = np.full((h, w), state_val, dtype=np.uint8)
-    depth = np.where(state > 0, 1.0, np.inf)
-    return SparseMask(state=state, depth=depth)
+    return SparseMask(state=np.full((h, w), state_val, dtype=np.uint8))
 
 
 class TestFocalLoss:
@@ -41,7 +39,7 @@ class TestFocalLoss:
 
     def test_mean_reduction(self, rng):
         state = np.array([[FOREGROUND, BACKGROUND, UNSUPERVISED]], dtype=np.uint8)
-        mask = SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+        mask = SparseMask(state=state)
         preds = np.array([[0.5, 0.5, 0.123]])
         loss, _, _ = losses.focal_loss(preds, mask)
         expected = (-0.25 * 0.25 * np.log(0.5) - 0.75 * 0.25 * np.log(0.5)) / 2
@@ -51,7 +49,7 @@ class TestFocalLoss:
         h, w = 5, 7
         state = rng.integers(0, 3, size=(h, w)).astype(np.uint8)
         state[0, 0] = FOREGROUND
-        mask = SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+        mask = SparseMask(state=state)
         preds = rng.uniform(0.05, 0.95, size=(h, w))
         loss, _, _ = losses.focal_loss(preds, mask, FocalLossConfig(alpha=0.5, gamma=0.0))
         sup = state != UNSUPERVISED
@@ -63,7 +61,7 @@ class TestFocalLoss:
         for _ in range(20):
             state = rng.integers(0, 3, size=(4, 4)).astype(np.uint8)
             state[0, 0] = BACKGROUND
-            mask = SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+            mask = SparseMask(state=state)
             preds = rng.uniform(0, 1, size=(4, 4))
             loss, _, _ = losses.focal_loss(preds, mask)
             assert loss >= 0.0
@@ -141,18 +139,17 @@ def _loop_mask(cloud, labels, calib, image_size):
         if pixels.depth[i] < depth[r, c]:
             depth[r, c] = pixels.depth[i]
             state[r, c] = FOREGROUND if labels[i] else BACKGROUND
-    return state, depth
+    return state
 
 
 def _assert_same_as_loop(cloud, labels, calib, image_size, tmp_path):
     mask = losses.make_sparse_mask(cloud, labels, calib, image_size)
-    state, depth = _loop_mask(cloud, labels, calib, image_size)
-    assert mask.state.dtype == np.uint8 and mask.depth.dtype == np.float64
+    state = _loop_mask(cloud, labels, calib, image_size)
+    assert mask.state.dtype == np.uint8
     assert mask.state.tobytes() == state.tobytes()
-    assert mask.depth.tobytes() == depth.tobytes()
     got, want = tmp_path / "got.pgm", tmp_path / "want.pgm"
     mask.to_pgm(got)
-    SparseMask(state=state, depth=depth).to_pgm(want)
+    SparseMask(state=state).to_pgm(want)
     assert got.read_bytes() == want.read_bytes()
     return mask
 
@@ -240,7 +237,7 @@ class TestSparseMask:
         from pacfusion import kitti
 
         state = np.array([[UNSUPERVISED, BACKGROUND], [FOREGROUND, FOREGROUND]], dtype=np.uint8)
-        mask = SparseMask(state=state, depth=np.where(state > 0, 1.0, np.inf))
+        mask = SparseMask(state=state)
         path = tmp_path / "mask.pgm"
         mask.to_pgm(path)
         back = kitti.read_pgm_mask(path)

@@ -1,49 +1,47 @@
 import numpy as np
 import pytest
 
-from pacfusion.types import (
-    Box3D,
-    FeatureMap,
-    InvalidDimensionError,
-    PointCloud,
-    fusion_dims,
-)
+from pacfusion.types import Box3D, FeatureMap, FusionDims, PointCloud
 
 
 class TestFusionDims:
     def test_paper_dims(self):
-        dims = fusion_dims(c_seg=4, c_lidar=128, d_o=64)
+        dims = FusionDims(c_seg=4, c_lidar=128, d_o=64)
         assert dims.d_i == 135
         assert dims.out_width == 263
 
     def test_minimal_dims(self):
-        dims = fusion_dims(c_seg=1, c_lidar=0, d_o=1)
+        dims = FusionDims(c_seg=1, c_lidar=0, d_o=1)
         assert dims.d_i == 4
         assert dims.out_width == 6
 
     def test_small_dims(self):
-        dims = fusion_dims(c_seg=2, c_lidar=2, d_o=3)
+        dims = FusionDims(c_seg=2, c_lidar=2, d_o=3)
         assert dims.d_i == 7
         assert dims.out_width == 13
 
-    @pytest.mark.parametrize("c_seg,c_lidar,d_o", [(0, 1, 1), (1, 1, 0), (1, -1, 1)])
-    def test_invalid(self, c_seg, c_lidar, d_o):
-        with pytest.raises(InvalidDimensionError):
-            fusion_dims(c_seg, c_lidar, d_o)
+    @pytest.mark.parametrize(
+        "c_seg,c_lidar,d_o,field",
+        [(0, 1, 1, "c_seg"), (1, 1, 0, "d_o"), (1, -1, 1, "c_lidar")],
+        ids=["0-1-1", "1-1-0", "1--1-1"],
+    )
+    def test_invalid(self, c_seg, c_lidar, d_o, field):
+        with pytest.raises(ValueError, match=field):
+            FusionDims(c_seg, c_lidar, d_o)
 
     def test_offset_slot_always_three(self, rng):
         for _ in range(50):
             c_seg = int(rng.integers(1, 10))
             c_lidar = int(rng.integers(0, 10))
             d_o = int(rng.integers(1, 10))
-            dims = fusion_dims(c_seg, c_lidar, d_o)
+            dims = FusionDims(c_seg, c_lidar, d_o)
             assert dims.d_i - c_seg - c_lidar == 3
 
     def test_out_width_monotone(self):
-        base = fusion_dims(2, 2, 2).out_width
-        assert fusion_dims(3, 2, 2).out_width > base
-        assert fusion_dims(2, 3, 2).out_width > base
-        assert fusion_dims(2, 2, 3).out_width > base
+        base = FusionDims(2, 2, 2).out_width
+        assert FusionDims(3, 2, 2).out_width > base
+        assert FusionDims(2, 3, 2).out_width > base
+        assert FusionDims(2, 2, 3).out_width > base
 
 
 class TestPointCloud:
