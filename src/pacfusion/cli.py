@@ -7,6 +7,7 @@ failure. Every command is deterministic under a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -80,6 +81,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _mlp_spec(text: str) -> fusion.MlpSpec:
+    """argparse type of --mlp: comma-separated layer widths, checked as MlpSpec checks them."""
+    try:
+        return fusion.MlpSpec(widths=tuple(int(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _radius(text: str) -> float:
     """argparse type of --dist: a radius >= 0, inf allowed, NaN not."""
     value = float(text)
@@ -88,9 +97,106 @@ def _radius(text: str) -> float:
     return value
 
 
+_FIELD = re.compile(r"%d|%\.6f")
+# "00" .. "99": two ASCII digits per uint16
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+# below it |x| * 1e6 < 2**52, where float64 arithmetic rounds %.6f's cells exactly
+_F6_EXACT = 2.0**52 / 1e6
+
+
 def _csv_rows(fmt: str, table: np.ndarray) -> str:
-    """One `fmt` line per row of a 2-D table, by one % over all rows; %d prints an integral float as the int."""
-    return (fmt * len(table)) % tuple(table.ravel().tolist())
+    """One `fmt` line per row of a 2-D table, byte for byte as `fmt % tuple(row)` prints it.
+
+    `fmt` holds `%d` and `%.6f` fields between literal text; `%d` of a float
+    prints its truncated value. Every cell goes into one (rows, width) byte
+    matrix, with NUL bytes where a cell is narrower than its column, and the
+    NULs are dropped once at the end. The cells the arithmetic does not
+    cover (a `%.6f` value that is not finite or has |x| >= 2**52 / 1e6, a
+    `%d` float outside int64) are formatted by `%` one by one.
+    """
+    literals = [np.frombuffer(text.encode(), dtype=np.uint8) for text in _FIELD.split(fmt)]
+    pieces = [literals[0]]
+    for j, spec in enumerate(_FIELD.findall(fmt)):
+        pieces += [_column_cells(spec, table[:, j]), literals[j + 1]]
+    matrix = np.concatenate([np.broadcast_to(piece, (len(table), piece.shape[-1])) for piece in pieces], axis=1)
+    return matrix.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _column_cells(spec: str, col: np.ndarray) -> np.ndarray:
+    """(rows, width) bytes of one column's cells; a NUL byte prints nothing."""
+    if spec == "%d" and col.dtype.kind in "biu":
+        v = col.astype(np.int64, copy=False)
+        return _integer_cells(v < 0, np.abs(v).view(np.uint64))  # as uint64, |int64 min| is 2**63
+    col = col.astype(np.float64, copy=False)
+    size = np.abs(col)
+    if spec == "%d":
+        fits = size < 2.0**63
+        cells = _integer_cells(col <= -1.0, np.where(fits, size, 0.0).astype(np.int64))
+    else:
+        fits = size < _F6_EXACT
+        cells = _fixed6_cells(np.signbit(col), np.where(fits, size, 0.0))
+    bad = np.nonzero(~fits)[0]
+    if len(bad):
+        texts = [(spec % x).encode() for x in col[bad].tolist()]
+        width = max(cells.shape[1], *map(len, texts))
+        cells = np.pad(cells, ((0, 0), (width - cells.shape[1], 0)))
+        cells[bad] = 0
+        for i, text in zip(bad, texts):
+            cells[i, width - len(text) :] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
+def _fixed6_cells(neg: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """%.6f cells of sign `neg` and |x| = size < 2**52 / 1e6: round(size * 1e6), ties to even."""
+    p = size * 1e6
+    r = np.rint(p)
+    # p is the exact product rounded to float64. Below 2**52 it rounds to the same
+    # integer as the exact product, except where p lies on a tie (|p - r| == 0.5):
+    # there the exact product is past the tie, and r steps once toward p, when the
+    # product's rounding error has the sign of p - r.
+    tie = np.nonzero(np.abs(p - r) == 0.5)[0]
+    if len(tie):
+        s, pt, rt = size[tie], p[tie], r[tie]
+        # Dekker's TwoProduct; 1e6 = 15625 * 2**6 has 14 significant bits, so it needs no split
+        split = s * 134217729.0
+        hi = split - (split - s)
+        err = (hi * 1e6 - pt) + (s - hi) * 1e6
+        step = np.sign(pt - rt)
+        r[tie] = np.where(np.sign(err) == step, rt + step, rt)
+    scaled = r.astype(np.int64)
+    whole = scaled // 1_000_000
+    head = _integer_cells(neg, whole)
+    cells = np.empty((len(p), head.shape[1] + 7), dtype=np.uint8)
+    cells[:, :-7] = head
+    cells[:, -7] = ord(".")
+    cells[:, -6:] = _digits((scaled - whole * 1_000_000).astype(np.int32), 6)
+    return cells
+
+
+def _integer_cells(neg: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Cells of a '-' where `neg` and the digits of the magnitudes m >= 0, leading zeros as NUL."""
+    top = int(m.max()) if len(m) else 0
+    n = len(str(top))
+    if top < 2**31:
+        m = m.astype(np.int32)
+    cells = np.empty((len(m), n + 1), dtype=np.uint8)
+    cells[:, 0] = neg * np.uint8(ord("-"))
+    # digit k from the right is printed where m >= 10**k; the units digit always is
+    lowest = 10 ** np.arange(n - 1, -1, -1, dtype=m.dtype)
+    lowest[-1] = 0
+    np.multiply(_digits(m, n), m[:, None] >= lowest, out=cells[:, 1:])
+    return cells
+
+
+def _digits(m: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) ASCII digits of the integers 0 <= m < 10**n, leading zeros included."""
+    pairs = np.empty((len(m), (n + 1) // 2), dtype=np.uint16)
+    for j in range(pairs.shape[1] - 1, 0, -1):
+        high = m // 100  # numpy divides by a scalar far faster than it takes a scalar %
+        pairs[:, j] = _DIGIT_PAIRS.take(m - 100 * high)
+        m = high
+    pairs[:, 0] = _DIGIT_PAIRS.take(m)
+    return pairs.view(np.uint8)[:, 2 * pairs.shape[1] - n :]
 
 
 def cmd_project(args) -> int:
@@ -132,8 +238,8 @@ def cmd_fuse(args) -> int:
             params = fusion.load_params(args.params)
             source = f"checkpoint {args.params}"
         else:
-            widths = args.mlp or fusion.MlpSpec.default(dims.d_i, dims.d_o).widths
-            params = fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), args.k, seed=args.seed)
+            spec = args.mlp or fusion.MlpSpec.default(dims.d_i, dims.d_o)
+            params = fusion.init_params(spec, args.k, seed=args.seed)
             source = "--mlp"
         # check the operator fits before the per-point kNN queries
         params.check_fit(
@@ -239,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     p.add_argument("--dout", type=_positive_int, default=8)
-    p.add_argument("--mlp", type=lambda s: tuple(int(v) for v in s.split(",")), default=None)
+    p.add_argument("--mlp", type=_mlp_spec, default=None)
     _add_common(p)
     _add_neighbors(p)
     p.set_defaults(func=cmd_fuse)

@@ -129,8 +129,9 @@ def points_in_box(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
 
 
 def _take(cloud: PointCloud, idx: np.ndarray) -> PointCloud:
-    return PointCloud(
-        xyz=cloud.xyz[idx],
-        reflectance=cloud.reflectance[idx],
-        features=None if cloud.features is None else cloud.features[idx],
+    """The rows `idx` of a cloud; rows of a valid cloud need no second validation."""
+    return PointCloud._trusted(
+        cloud.xyz[idx],
+        cloud.reflectance[idx],
+        None if cloud.features is None else cloud.features[idx],
     )

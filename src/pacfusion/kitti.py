@@ -75,13 +75,13 @@ def decode_velodyne(raw: bytes) -> PointCloud:
             f"velodyne payload truncated: {len(raw)} bytes, trailing record at offset {offset}"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
-    if len(bad):
-        raise FormatError(f"non-finite velodyne record at index {bad[0]}")
-    try:
-        return PointCloud(xyz=data[:, :3], reflectance=data[:, 3])
-    except ValueError as exc:
-        raise FormatError(f"velodyne payload: {exc}") from None
+    finite = np.isfinite(data)
+    if not finite.all():  # one flat pass; the per-record reduction is ~10x slower
+        raise FormatError(f"non-finite velodyne record at index {np.nonzero(~finite.all(axis=1))[0][0]}")
+    reflectance = data[:, 3]
+    if len(data) and (reflectance.min() < 0.0 or reflectance.max() > 1.0):
+        raise FormatError("velodyne payload: reflectance values must lie in [0, 1]")
+    return PointCloud._trusted(data[:, :3], reflectance)
 
 
 def encode_velodyne(cloud: PointCloud) -> bytes:
@@ -214,7 +214,10 @@ def read_pgm_mask(path) -> FeatureMap:
     if len(payload) != width * height:
         raise FormatError("PGM mask: truncated payload")
     grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return FeatureMap(data=(grid / 255.0)[:, :, None])
+    try:
+        return FeatureMap(data=(grid / 255.0)[:, :, None])
+    except ValueError as exc:
+        raise FormatError(f"PGM mask: {exc}") from None
 
 
 def write_pgm(grid: np.ndarray, path) -> None:

@@ -88,8 +88,16 @@ def make_sparse_mask(
     return SparseMask(state=state)
 
 
+# Depth (the projective w) of the plane that clips a box reaching behind the camera
+NEAR_DEPTH = 0.1
+
+
 def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[int, int, int, int] | None:
-    """Projected 2D pixel rectangle of a box's 8 corners, or None if behind camera."""
+    """Projected 2D pixel rectangle of the part of a box in front of the near plane, or None if none is.
+
+    A box straddling the image plane is clipped: its corners behind
+    NEAR_DEPTH are replaced by the points where its edges cross it.
+    """
     height, width = image_size
     h, w, l = (size if size > 0 else 1.0 for size in (box.h, box.w, box.l))
     c, s = np.cos(box.ry), np.sin(box.ry)
@@ -98,8 +106,15 @@ def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[in
         for sx in (-l / 2, l / 2) for sy in (-h, 0.0) for sz in (-w / 2, w / 2)
     ])
     hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
-    if np.any(hom[:, 2] <= 0):
+    front = hom[:, 2] >= NEAR_DEPTH
+    if not front.any():
         return None
+    # the 12 edges join corners whose indices 4*sx + 2*sy + sz differ in one bit
+    edges = np.array([(i, i | bit) for i in range(8) for bit in (1, 2, 4) if not i & bit])
+    edges = edges[front[edges[:, 0]] != front[edges[:, 1]]]  # the edges crossing the plane
+    a, b = hom[edges[:, 0]], hom[edges[:, 1]]
+    crossings = a + ((NEAR_DEPTH - a[:, 2]) / (b[:, 2] - a[:, 2]))[:, None] * (b - a)
+    hom = np.vstack((hom[front], crossings))
     u, v = hom[:, 0] / hom[:, 2], hom[:, 1] / hom[:, 2]
     c0 = int(np.clip(np.floor(u.min()), 0, width))
     c1 = int(np.clip(np.ceil(u.max()) + 1, 0, width))

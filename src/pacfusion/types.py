@@ -70,6 +70,13 @@ class PointCloud:
             if self.features.ndim != 2 or len(self.features) != len(self.xyz):
                 raise ValueError("features must be an (N, C_lidar) array")
 
+    @classmethod
+    def _trusted(cls, xyz: np.ndarray, reflectance: np.ndarray, features: np.ndarray | None = None) -> "PointCloud":
+        """A cloud of arrays already in the validated form: float64, finite, reflectance in [0, 1]; no checks run."""
+        cloud = object.__new__(cls)
+        cloud.xyz, cloud.reflectance, cloud.features = xyz, reflectance, features
+        return cloud
+
     def __len__(self) -> int:
         return len(self.xyz)
 
@@ -89,6 +96,8 @@ class FeatureMap:
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if self.data.ndim != 3:
             raise ValueError(f"feature map must be (H, W, C), got shape {self.data.shape}")
+        if self.data.shape[0] < 1 or self.data.shape[1] < 1:
+            raise ValueError(f"feature map needs height and width >= 1, got {self.data.shape[0]}x{self.data.shape[1]}")
         if self.data.shape[2] < 1:
             raise ValueError("feature map needs at least one channel")
         if not np.all(np.isfinite(self.data)):

@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pacfusion import cli, fusion, geometry, kitti, losses
+from pacfusion.types import PointCloud
 
 
 def run(argv, capsys=None):
@@ -36,16 +39,64 @@ def test_project_csv(tmp_path, capsys, synthetic_frame):
     assert len(lines) == len(f["cloud"]) + 1
 
 
+def _project_csv_loop(pixels) -> str:
+    """Reference: `project`'s CSV as the per-row f-string loop prints it."""
+    want = ["index,u,v,depth,valid\n"]
+    for i in range(len(pixels)):
+        want.append(f"{i},{pixels.u[i]:.6f},{pixels.v[i]:.6f},{pixels.depth[i]:.6f},{int(pixels.valid[i])}\n")
+    return "".join(want)
+
+
 def test_project_csv_matches_loop(capsys, synthetic_frame):
     f = synthetic_frame
     code, out = run(["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 192], capsys)
     assert code == cli.EXIT_OK
     pixels = geometry.project_points(kitti.read_velodyne(f["velodyne"]), f["calib"], (64, 192))
     assert not pixels.valid.all() and pixels.valid.any()
-    want = ["index,u,v,depth,valid\n"]
-    for i in range(len(pixels)):
-        want.append(f"{i},{pixels.u[i]:.6f},{pixels.v[i]:.6f},{pixels.depth[i]:.6f},{int(pixels.valid[i])}\n")
-    assert out.out == "".join(want)
+    assert out.out == _project_csv_loop(pixels)
+
+
+def test_project_csv_camera_plane_matches_loop(capsys, synthetic_frame):
+    f = synthetic_frame
+    scan = kitti.read_velodyne(f["velodyne"])
+    # LIDAR x is the camera depth w: a point on the camera plane (u = inf), one just in
+    # front of it (|u| ~ 1e22) and one just behind it (u ~ 3e9, past int32)
+    xyz = np.vstack((scan.xyz, [(0.0, 1.0, 0.5), (1e-20, 1.0, 0.5), (-1e-7, 3.0, 0.0), (1e-3, 2.0, -1.0)]))
+    kitti.write_velodyne(PointCloud(xyz=xyz, reflectance=np.resize(scan.reflectance, len(xyz))), f["velodyne"])
+    code, out = run(["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 192], capsys)
+    assert code == cli.EXIT_OK
+    pixels = geometry.project_points(kitti.read_velodyne(f["velodyne"]), f["calib"], (64, 192))
+    assert np.isinf(pixels.u).any() and (np.abs(pixels.u) >= 2.0**52 / 1e6).sum() >= 2
+    assert out.out == _project_csv_loop(pixels)
+
+
+_F6_LIMIT = 2.0**52 / 1e6
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e20, -1e300,
+    np.nextafter(_F6_LIMIT, 0), _F6_LIMIT, np.nextafter(_F6_LIMIT, np.inf), -np.nextafter(_F6_LIMIT, 0),
+    0.5e-6, 2.5e-6, -1e-7, 0.9999995, 9.99999949,
+]
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-2**45, 2**45).map(lambda k: (2 * k + 1) / 128),  # exact ties of x * 1e6
+    st.integers(0, 2**42).map(lambda k: (2 * k + 1) / 2e6),  # ties of the decimal value, not of the double
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ints=hnp.arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)), elements=st.integers(-2**63, 2**63 - 1)),
+    floats=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)), elements=_CSV_FLOATS),
+    truncated=st.lists(st.floats(-1e19, 1e19), min_size=24, max_size=24),
+)
+def test_csv_rows_matches_percent(ints, floats, truncated):
+    """Every cell as % prints it: int tables, %.6f edge values and %d of floats (truncated, past int64 too)."""
+    assert cli._csv_rows("%d,%d;%d\n", ints) == ("%d,%d;%d\n" * len(ints)) % tuple(ints.ravel().tolist())
+    fmt = "%d,%.6f,%.6f,%.6f,%d\n"
+    n = len(floats)
+    table = np.column_stack((truncated[:n], floats, truncated[12 : 12 + n]))
+    assert cli._csv_rows(fmt, table) == (fmt * n) % tuple(table.ravel().tolist())
 
 
 def test_csv_rows_matches_fstring_loop():
@@ -61,8 +112,6 @@ def test_csv_rows_matches_fstring_loop():
 
 
 def test_knn_verify(tmp_path, capsys):
-    from pacfusion.types import PointCloud
-
     rng = np.random.default_rng(3)
     pts = PointCloud(xyz=rng.uniform(0, 10, size=(80, 3)), reflectance=rng.uniform(0, 1, 80))
     path = tmp_path / "s.bin"
@@ -180,9 +229,13 @@ NAN_CALIB = (
         ("velodyne", struct.pack("<4f", 10, 0, 0, 0.5) + struct.pack("<4f", 12, 0, 0, 1.5)),
         ("calib_path", NAN_CALIB.replace(b"P2: 100", b"P2: nan")),
         ("calib_path", NAN_CALIB.replace(b"R0_rect: 1", b"R0_rect: nan")),
+        ("featuremap_path", b"P5\n0 0\n255\n"),
+        ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 0, 5, 4)),
+        ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 5, 0, 4)),
     ],
     ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels",
-         "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0"],
+         "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0", "pgm_zero_size", "pacf_zero_height",
+         "pacf_zero_width"],
 )
 def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, contents):
     f = synthetic_frame
@@ -238,15 +291,23 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--seed", -1], "--seed"),
         (lambda f: PREPARE_ARGV["maskgen"](f) + ["--seed", -3], "--seed"),
         (lambda f: ["gradcheck", "--seed", -1], "--seed"),
+        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "0,4"], "--mlp"),
+        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
+        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
-         "maskgen_seed_negative", "gradcheck_seed_negative"],
+         "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
     assert code == cli.EXIT_USAGE
     assert f"argument {flag}:" in out.err
+
+
+def _missing_inputs_fuse(f):
+    """`fuse` on input paths that do not exist: a flag rejected by argparse exits before any file is read."""
+    return ["fuse", f["dir"] / "no.bin", f["dir"] / "no.txt", f["dir"] / "no.pacf", "--out", f["dir"] / "o.pacf"]
 
 
 def test_dist_accepts_zero_and_inf():
@@ -365,6 +426,23 @@ def test_maskgen_clears_dontcare_extent(synthetic_frame):
     np.testing.assert_array_equal(cleared[~inside], plain[~inside])
     # labels come from the non-DontCare boxes only, so the CSV does not change
     assert (f["dir"] / "dc.csv").read_bytes() == (f["dir"] / "plain.csv").read_bytes()
+
+
+def test_maskgen_clips_dontcare_at_the_near_plane(synthetic_frame):
+    f = synthetic_frame
+    # camera frame x in [2, 4] m, y in [-1, 1] m and z in [-3, 7] m: the box reaches behind the camera
+    dc_path = f["dir"] / "labels_near.txt"
+    dc_path.write_text(f["labels_path"].read_text() + "DontCare -1 -1 -10 0 0 10 10 2 10 2 3 1 2 0\n")
+    assert run(_maskgen_argv(f, f["labels_path"], "plain")) == cli.EXIT_OK
+    assert run(_maskgen_argv(f, dc_path, "near")) == cli.EXIT_OK
+    plain = kitti.read_pgm_mask(f["dir"] / "plain.pgm").data[:, :, 0]
+    cleared = kitti.read_pgm_mask(f["dir"] / "near.pgm").data[:, :, 0]
+    # in front of the camera the box spans u from 96 + 100 * 2 / 7 (its far inner edge)
+    # past the right image edge, and v past both image edges
+    c0 = int(np.floor(96 + 100 * 2 / 7))
+    assert plain[:, c0:].any()
+    assert not cleared[:, c0:].any()
+    np.testing.assert_array_equal(cleared[:, :c0], plain[:, :c0])
 
 
 def test_gradcheck_pass(capsys):

@@ -106,6 +106,21 @@ class TestSubsample:
         _, idx = geometry.subsample(cloud, 60, seed=3)
         assert len(set(idx.tolist())) == 60
 
+    def test_cuts_are_not_validated_again(self, rng, monkeypatch):
+        cloud = PointCloud(xyz=rng.normal(size=(50, 3)), reflectance=rng.uniform(0, 1, 50), features=np.ones((50, 2)))
+
+        def no_validation(self):
+            raise AssertionError("a cut of a valid cloud ran the validation again")
+
+        monkeypatch.setattr(PointCloud, "__post_init__", no_validation)
+        roi = geometry.RegionOfInterest(-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)
+        cropped, keep = geometry.filter_region(cloud, roi)
+        sample, idx = geometry.subsample(cropped, 40, seed=2)
+        rows = keep[idx]
+        np.testing.assert_array_equal(sample.xyz, cloud.xyz[rows])
+        np.testing.assert_array_equal(sample.reflectance, cloud.reflectance[rows])
+        np.testing.assert_array_equal(sample.features, cloud.features[rows])
+
 
 def _scalar_point_in_box(p_cam, box: Box3D) -> bool:
     """Reference: the scalar per-point test that points_in_box replaced."""

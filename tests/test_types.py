@@ -77,6 +77,11 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(data=data)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 1), (4, 0, 1), (0, 0, 1)], ids=["height", "width", "both"])
+    def test_zero_size_rejected(self, shape):
+        with pytest.raises(ValueError, match="height and width"):
+            FeatureMap(data=np.zeros(shape))
+
     def test_float32_kept_other_dtypes_widened(self):
         data = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
         m = FeatureMap(data=data)
