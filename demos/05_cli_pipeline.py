@@ -2,9 +2,11 @@
 """Drive the whole pipeline through the CLI on a generated KITTI-style frame.
 
 Writes a velodyne scan, calibration, labels and a feature map into a temp
-directory, then runs maskgen, fuse (both strategies) and bev-render.
+directory, then runs maskgen, fuse (both strategies) and bev-render. Exits 1
+if any command returns a nonzero exit code.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,23 +36,33 @@ fmap = FeatureMap(data=rng.uniform(0, 1, size=(64, 192, 1)))
 kitti.write_feature_map(fmap, tmp / "semantic.pacf")
 
 common = ["--n-sample", "1024", "--seed", "11"]
+failed = []
+
+
+def run(*argv):
+    code = cli.main([str(a) for a in argv])
+    if code != cli.EXIT_OK:
+        failed.append(f"{argv[0]} exited {code}")
+
+
 print("== maskgen ==")
-cli.main(["maskgen", str(tmp / "frame.bin"), str(tmp / "calib.txt"), str(tmp / "labels.txt"),
-          "--height", "64", "--width", "192",
-          "--out-mask", str(tmp / "mask.pgm"), "--out-labels", str(tmp / "points.csv"), *common])
+run("maskgen", tmp / "frame.bin", tmp / "calib.txt", tmp / "labels.txt", "--height", 64, "--width", 192,
+    "--out-mask", tmp / "mask.pgm", "--out-labels", tmp / "points.csv", *common)
 
 print("== fuse, operator mid-pipeline (v1) ==")
-cli.main(["fuse", str(tmp / "frame.bin"), str(tmp / "calib.txt"), str(tmp / "semantic.pacf"),
-          "--mode", "v1", "--dout", "8", "--out", str(tmp / "fused_v1.pacf"), *common])
+run("fuse", tmp / "frame.bin", tmp / "calib.txt", tmp / "semantic.pacf",
+    "--mode", "v1", "--dout", 8, "--out", tmp / "fused_v1.pacf", *common)
 
 print("== fuse, input-level concat (v2) ==")
-cli.main(["fuse", str(tmp / "frame.bin"), str(tmp / "calib.txt"), str(tmp / "semantic.pacf"),
-          "--mode", "v2", "--out", str(tmp / "fused_v2.pacf"), *common])
+run("fuse", tmp / "frame.bin", tmp / "calib.txt", tmp / "semantic.pacf",
+    "--mode", "v2", "--out", tmp / "fused_v2.pacf", *common)
 
 print("== bev-render ==")
-cli.main(["bev-render", str(tmp / "frame.bin"), str(tmp / "calib.txt"),
-          str(tmp / "semantic.pacf"), "--out", str(tmp / "bev.ppm")])
+run("bev-render", tmp / "frame.bin", tmp / "calib.txt", tmp / "semantic.pacf", "--out", tmp / "bev.ppm")
 
 print("\nartifacts in", tmp)
 for p in sorted(tmp.iterdir()):
     print(f"  {p.name:16} {p.stat().st_size:>9} bytes")
+if failed:
+    print("FAILED: " + "; ".join(failed), file=sys.stderr)
+    sys.exit(1)

@@ -7,7 +7,6 @@ failure. Every command is deterministic under a fixed --seed.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -65,6 +64,14 @@ def _parse_roi(text: str) -> geometry.RegionOfInterest:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _bev_roi(text: str) -> geometry.RegionOfInterest:
+    """argparse type of bev-render's --roi: finite x and y spans that each round to one BEV pixel or more."""
+    roi = _parse_roi(text)
+    if not all(0.5 < span / BEV_RESOLUTION < np.inf for span in (roi.x_max - roi.x_min, roi.y_max - roi.y_min)):
+        raise argparse.ArgumentTypeError(f"x and y spans must be finite and at least one {BEV_RESOLUTION} m pixel")
+    return roi
+
+
 def _positive_int(text: str) -> int:
     """argparse type of the count and size flags: an integer >= 1."""
     value = int(text)
@@ -97,79 +104,52 @@ def _radius(text: str) -> float:
     return value
 
 
-_FIELD = re.compile(r"%d|%\.6f")
 # "00" .. "99": two ASCII digits per uint16
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
-# below it |x| * 1e6 < 2**52, where float64 arithmetic rounds %.6f's cells exactly
-_F6_EXACT = 2.0**52 / 1e6
 
 
-def _csv_rows(fmt: str, table: np.ndarray) -> str:
-    """One `fmt` line per row of a 2-D table, byte for byte as `fmt % tuple(row)` prints it.
+def _csv_rows(*columns: np.ndarray) -> str:
+    """Comma-separated lines, one per row of the equal-length 1-D columns.
 
-    `fmt` holds `%d` and `%.6f` fields between literal text; `%d` of a float
-    prints its truncated value. Every cell goes into one (rows, width) byte
-    matrix, with NUL bytes where a cell is narrower than its column, and the
-    NULs are dropped once at the end. The cells the arithmetic does not
-    cover (a `%.6f` value that is not finite or has |x| >= 2**52 / 1e6, a
-    `%d` float outside int64) are formatted by `%` one by one.
+    An int or bool column prints as `%d`, a float column as `%.6f`, each cell
+    byte for byte as `%` prints it. Every cell goes into one (rows, width)
+    byte matrix, with NUL bytes where a cell is narrower than its column, and
+    the NULs are dropped once at the end.
     """
-    literals = [np.frombuffer(text.encode(), dtype=np.uint8) for text in _FIELD.split(fmt)]
-    pieces = [literals[0]]
-    for j, spec in enumerate(_FIELD.findall(fmt)):
-        pieces += [_column_cells(spec, table[:, j]), literals[j + 1]]
-    matrix = np.concatenate([np.broadcast_to(piece, (len(table), piece.shape[-1])) for piece in pieces], axis=1)
-    return matrix.tobytes().translate(None, b"\0").decode("ascii")
+    comma, newline = (np.full((len(columns[0]), 1), ord(c), dtype=np.uint8) for c in ",\n")
+    pieces = [piece for col in columns for piece in (_column_cells(col), comma)]
+    pieces[-1] = newline
+    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _column_cells(spec: str, col: np.ndarray) -> np.ndarray:
+def _column_cells(col: np.ndarray) -> np.ndarray:
     """(rows, width) bytes of one column's cells; a NUL byte prints nothing."""
-    if spec == "%d" and col.dtype.kind in "biu":
+    if col.dtype.kind in "biu":
         v = col.astype(np.int64, copy=False)
         return _integer_cells(v < 0, np.abs(v).view(np.uint64))  # as uint64, |int64 min| is 2**63
     col = col.astype(np.float64, copy=False)
     size = np.abs(col)
-    if spec == "%d":
-        fits = size < 2.0**63
-        cells = _integer_cells(col <= -1.0, np.where(fits, size, 0.0).astype(np.int64))
-    else:
-        fits = size < _F6_EXACT
-        cells = _fixed6_cells(np.signbit(col), np.where(fits, size, 0.0))
+    fits = size < 2.0**52 / 1e6  # exactly where size * 1e6 < 2**52; False for NaN
+    p = np.where(fits, size, 0.0) * 1e6
+    r = np.rint(p)
+    # p is the exact product |x| * 1e6 rounded to float64. Below 2**52 it rounds to
+    # the same integer as the exact product, except where p lies on a tie
+    # (|p - r| == 0.5) and the exact product may lie just past it.
+    fits &= np.abs(p - r) != 0.5
+    scaled = r.astype(np.int64)
+    whole = scaled // 1_000_000
+    dot = np.full((len(col), 1), ord("."), dtype=np.uint8)
+    fraction = _digits((scaled - whole * 1_000_000).astype(np.int32), 6)
+    cells = np.concatenate((_integer_cells(np.signbit(col), whole), dot, fraction), axis=1)
+    # ties, non-finite values and |x| * 1e6 >= 2**52: formatted by % one by one
     bad = np.nonzero(~fits)[0]
     if len(bad):
-        texts = [(spec % x).encode() for x in col[bad].tolist()]
+        texts = [b"%.6f" % x for x in col[bad].tolist()]
         width = max(cells.shape[1], *map(len, texts))
         cells = np.pad(cells, ((0, 0), (width - cells.shape[1], 0)))
         cells[bad] = 0
         for i, text in zip(bad, texts):
             cells[i, width - len(text) :] = np.frombuffer(text, dtype=np.uint8)
-    return cells
-
-
-def _fixed6_cells(neg: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """%.6f cells of sign `neg` and |x| = size < 2**52 / 1e6: round(size * 1e6), ties to even."""
-    p = size * 1e6
-    r = np.rint(p)
-    # p is the exact product rounded to float64. Below 2**52 it rounds to the same
-    # integer as the exact product, except where p lies on a tie (|p - r| == 0.5):
-    # there the exact product is past the tie, and r steps once toward p, when the
-    # product's rounding error has the sign of p - r.
-    tie = np.nonzero(np.abs(p - r) == 0.5)[0]
-    if len(tie):
-        s, pt, rt = size[tie], p[tie], r[tie]
-        # Dekker's TwoProduct; 1e6 = 15625 * 2**6 has 14 significant bits, so it needs no split
-        split = s * 134217729.0
-        hi = split - (split - s)
-        err = (hi * 1e6 - pt) + (s - hi) * 1e6
-        step = np.sign(pt - rt)
-        r[tie] = np.where(np.sign(err) == step, rt + step, rt)
-    scaled = r.astype(np.int64)
-    whole = scaled // 1_000_000
-    head = _integer_cells(neg, whole)
-    cells = np.empty((len(p), head.shape[1] + 7), dtype=np.uint8)
-    cells[:, :-7] = head
-    cells[:, -7] = ord(".")
-    cells[:, -6:] = _digits((scaled - whole * 1_000_000).astype(np.int32), 6)
     return cells
 
 
@@ -203,8 +183,8 @@ def cmd_project(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
     calib = kitti.read_calib(args.calib)
     pixels = geometry.project_points(cloud, calib, (args.height, args.width))
-    table = np.column_stack((np.arange(len(pixels)), pixels.u, pixels.v, pixels.depth, pixels.valid))
-    sys.stdout.write("index,u,v,depth,valid\n" + _csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table))
+    rows = _csv_rows(np.arange(len(pixels)), pixels.u, pixels.v, pixels.depth, pixels.valid)
+    sys.stdout.write("index,u,v,depth,valid\n" + rows)
     return EXIT_OK
 
 
@@ -213,7 +193,7 @@ def cmd_knn(args) -> int:
     tree = kdtree.KdTree(cloud.xyz)
     idx = np.array([tree.query(p, k=args.k, d=args.dist).indices for p in cloud.xyz], dtype=np.int64)
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
-    sys.stdout.write(_csv_rows("%d" + ",%d" * args.k + "\n", np.column_stack((np.arange(len(cloud)), idx))))
+    sys.stdout.write(_csv_rows(np.arange(len(cloud)), *idx.T))
     if args.verify:
         mismatches = 0
         for i in range(len(cloud)):
@@ -264,8 +244,8 @@ def cmd_maskgen(args) -> int:
     dontcare = [box for box in boxes if box.dontcare]
     mask = losses.make_sparse_mask(cloud, fg, calib, image_size, dontcare_boxes=dontcare)
     mask.to_pgm(args.out_mask)
-    table = np.column_stack((np.arange(len(cloud)), cloud.xyz, fg))
-    Path(args.out_labels).write_text("index,x,y,z,foreground\n" + _csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table))
+    rows = _csv_rows(np.arange(len(cloud)), *cloud.xyz.T, fg)
+    Path(args.out_labels).write_text("index,x,y,z,foreground\n" + rows)
     n_sup = int(mask.supervised.sum())
     print(f"mask {args.width}x{args.height}: {n_sup} supervised pixels, {int(fg.sum())} foreground points")
     return EXIT_OK
@@ -371,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("calib")
     p.add_argument("featuremap")
     p.add_argument("--out", required=True)
-    p.add_argument("--roi", type=_parse_roi, default=geometry.RegionOfInterest(), help="x0,x1,y0,y1,z0,z1")
+    p.add_argument("--roi", type=_bev_roi, default=geometry.RegionOfInterest(), help="x0,x1,y0,y1,z0,z1")
     p.set_defaults(func=cmd_bev_render)
 
     return parser

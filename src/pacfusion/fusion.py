@@ -305,7 +305,7 @@ def fuse_cloud(
     semantic, sem_valid = retrieve_features(pixels, fmap)
     if mode == "v2":
         feats = semantic if cloud.features is None else np.hstack([semantic, cloud.features])
-        return PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, features=feats)
+        return PointCloud._trusted(cloud.xyz, cloud.reflectance, feats)
     if params is None:
         raise ValueError("v1 fusion requires operator parameters")
     tree = KdTree(cloud.xyz)
@@ -314,7 +314,7 @@ def fuse_cloud(
         nbr[i] = tree.query(cloud.xyz[i], k=k, d=d).indices
     nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=cloud.features)
     fused, _ = pacf_forward(nf, params)
-    return PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, features=fused.values)
+    return PointCloud._trusted(cloud.xyz, cloud.reflectance, fused.values)
 
 
 def save_params(params: PacfParams, path) -> None:
@@ -338,6 +338,8 @@ def load_params(path) -> PacfParams:
     version, k, n_widths = struct.unpack("<HII", raw[4:14])
     if version != PARAMS_VERSION:
         raise FormatError(f"parameter container: unsupported version {version}")
+    if k < 1:
+        raise FormatError(f"parameter container: k={k}, needs at least one neighbor slot")
     pos = 14 + 4 * n_widths
     if len(raw) < pos:
         raise FormatError("parameter container: truncated header")

@@ -45,7 +45,7 @@ class PointCloud:
 
     xyz: (N, 3) float array, LIDAR frame.
     reflectance: (N,) float array in [0, 1].
-    features: optional (N, C_lidar) float array.
+    features: optional (N, C_lidar) finite float array.
     """
 
     xyz: np.ndarray
@@ -61,14 +61,15 @@ class PointCloud:
             )
         if not np.all(np.isfinite(self.xyz)):
             raise ValueError("point coordinates must be finite")
-        if len(self.reflectance) and (
-            self.reflectance.min() < 0.0 or self.reflectance.max() > 1.0
-        ):
+        # written so that NaN fails it: min and max of an array holding NaN are NaN
+        if len(self.reflectance) and not (self.reflectance.min() >= 0.0 and self.reflectance.max() <= 1.0):
             raise ValueError("reflectance values must lie in [0, 1]")
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.ndim != 2 or len(self.features) != len(self.xyz):
                 raise ValueError("features must be an (N, C_lidar) array")
+            if not np.all(np.isfinite(self.features)):
+                raise ValueError("point features must be finite")
 
     @classmethod
     def _trusted(cls, xyz: np.ndarray, reflectance: np.ndarray, features: np.ndarray | None = None) -> "PointCloud":

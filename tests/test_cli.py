@@ -84,19 +84,24 @@ _CSV_FLOATS = st.one_of(
 )
 
 
+def _table(n):
+    """Equal-length int64, float and bool columns of n rows, the float cells drawn from the edge values."""
+    return st.tuples(
+        hnp.arrays(np.int64, (n, 2), elements=st.integers(-2**63, 2**63 - 1)),
+        hnp.arrays(np.float64, (n, 3), elements=_CSV_FLOATS),
+        hnp.arrays(np.bool_, n),
+    )
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    ints=hnp.arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)), elements=st.integers(-2**63, 2**63 - 1)),
-    floats=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)), elements=_CSV_FLOATS),
-    truncated=st.lists(st.floats(-1e19, 1e19), min_size=24, max_size=24),
-)
-def test_csv_rows_matches_percent(ints, floats, truncated):
-    """Every cell as % prints it: int tables, %.6f edge values and %d of floats (truncated, past int64 too)."""
-    assert cli._csv_rows("%d,%d;%d\n", ints) == ("%d,%d;%d\n" * len(ints)) % tuple(ints.ravel().tolist())
-    fmt = "%d,%.6f,%.6f,%.6f,%d\n"
-    n = len(floats)
-    table = np.column_stack((truncated[:n], floats, truncated[12 : 12 + n]))
-    assert cli._csv_rows(fmt, table) == (fmt * n) % tuple(table.ravel().tolist())
+@given(table=st.integers(0, 12).flatmap(_table))
+def test_csv_rows_matches_percent(table):
+    """Every cell as % prints it: int64 (int64 min too) and bool cells as %d, float edge values as %.6f."""
+    ints, floats, flags = table
+    assert cli._csv_rows(*ints.T) == "".join("%d,%d\n" % tuple(row) for row in ints.tolist())
+    got = cli._csv_rows(ints[:, 0], *floats.T, flags, ints[:, 1])
+    rows = zip(ints[:, 0].tolist(), floats.tolist(), flags.tolist(), ints[:, 1].tolist())
+    assert got == "".join("%d,%.6f,%.6f,%.6f,%d,%d\n" % (i, *xyz, f, j) for i, xyz, f, j in rows)
 
 
 def test_csv_rows_matches_fstring_loop():
@@ -104,11 +109,10 @@ def test_csv_rows_matches_fstring_loop():
         [[-0.0, 0.0, 1e6], [-1234567.891234, 2.5e7, -0.0000004], [3.1415926535, -9.99999949, 123456789012.5]]
     )
     fg = np.array([True, False, True])
-    table = np.column_stack((np.arange(3), xyz, fg))
     want = "".join(f"{i},{x:.6f},{y:.6f},{z:.6f},{int(fg[i])}\n" for i, (x, y, z) in enumerate(xyz))
-    assert cli._csv_rows("%d,%.6f,%.6f,%.6f,%d\n", table) == want
+    assert cli._csv_rows(np.arange(3), *xyz.T, fg) == want
     assert want.startswith("0,-0.000000,0.000000,1000000.000000,1\n1,")
-    assert cli._csv_rows("%d\n", np.zeros((0, 1))) == ""
+    assert cli._csv_rows(np.zeros(0, dtype=np.int64), np.zeros(0)) == ""
 
 
 def test_knn_verify(tmp_path, capsys):
@@ -212,6 +216,23 @@ def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
         assert code == cli.EXIT_FORMAT
 
 
+def test_fuse_checkpoint_k_zero_is_format_error(synthetic_frame, capsys):
+    f = synthetic_frame
+    ckpt = f["dir"] / "params.pacw"
+    params = fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5)
+    params.aggr_weights = np.zeros(0)
+    fusion.save_params(params, ckpt)
+    code, out = run(
+        [
+            "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
+            "--params", ckpt, "--out", f["dir"] / "o.pacf", "--n-sample", 64,
+        ],
+        capsys,
+    )
+    assert code == cli.EXIT_FORMAT
+    assert "k=0" in out.err and "--k" not in out.err
+
+
 NAN_CALIB = (
     b"P2: 100 0 96 0 0 100 32 0 0 0 1 0\n"
     b"R0_rect: 1 0 0 0 1 0 0 0 1\n"
@@ -294,10 +315,13 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "0,4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
+        (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
+        (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
-         "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int"],
+         "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
+         "bev_roi_thin", "bev_roi_infinite"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -308,6 +332,11 @@ def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
 def _missing_inputs_fuse(f):
     """`fuse` on input paths that do not exist: a flag rejected by argparse exits before any file is read."""
     return ["fuse", f["dir"] / "no.bin", f["dir"] / "no.txt", f["dir"] / "no.pacf", "--out", f["dir"] / "o.pacf"]
+
+
+def _missing_inputs_bev(f):
+    """`bev-render` on input paths that do not exist, as `_missing_inputs_fuse`."""
+    return ["bev-render", f["dir"] / "no.bin", f["dir"] / "no.txt", f["dir"] / "no.pacf", "--out", f["dir"] / "o.ppm"]
 
 
 def test_dist_accepts_zero_and_inf():

@@ -521,6 +521,25 @@ class TestFuseCloud:
         assert out.features.shape == (30, 2 + 4)
         np.testing.assert_array_equal(out.features[:, 2:], cloud.features)
 
+    def test_results_are_not_validated_again(self, rng, monkeypatch):
+        cloud = random_cloud(rng, 40)
+        cloud.features = rng.normal(size=(40, 2))
+        fmap = FeatureMap(data=rng.uniform(0, 1, size=(32, 64, 2)))
+        calib = make_calib(cx=32.0, cy=16.0)
+        params = fusion.init_params(fusion.MlpSpec.default(2 + 2 + 3, 4), k=3, seed=0)
+
+        def no_validation(self):
+            raise AssertionError("fuse_cloud ran the validation again on its result")
+
+        monkeypatch.setattr(PointCloud, "__post_init__", no_validation)
+        v1 = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode="v1")
+        v2 = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
+        for out in (v1, v2):
+            assert out.xyz is cloud.xyz and out.reflectance is cloud.reflectance
+            assert out.features.dtype == np.float64
+        assert v1.features.shape == (40, 2 * 4 + 7)
+        np.testing.assert_array_equal(v2.features[:, 2:], cloud.features)
+
     def test_bad_mode(self, rng):
         cloud = random_cloud(rng, 5)
         fmap = FeatureMap(data=np.zeros((4, 4, 1)))

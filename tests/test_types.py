@@ -59,6 +59,17 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(xyz=np.zeros((1, 3)), reflectance=np.array([1.5]))
 
+    def test_nan_reflectance_rejected(self):
+        with pytest.raises(ValueError, match="reflectance"):
+            PointCloud(xyz=np.zeros((2, 3)), reflectance=np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_features_rejected(self, bad):
+        features = np.ones((2, 3))
+        features[1, 2] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            PointCloud(xyz=np.zeros((2, 3)), reflectance=np.zeros(2), features=features)
+
     def test_c_lidar(self):
         cloud = PointCloud(
             xyz=np.zeros((2, 3)), reflectance=np.zeros(2), features=np.ones((2, 5))
