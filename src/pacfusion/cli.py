@@ -124,7 +124,9 @@ def _csv_rows(*columns: np.ndarray) -> str:
 
 def _column_cells(col: np.ndarray) -> np.ndarray:
     """(rows, width) bytes of one column's cells; a NUL byte prints nothing."""
-    if col.dtype.kind in "biu":
+    if col.dtype.kind == "u":
+        return _integer_cells(np.zeros(len(col), dtype=bool), col.astype(np.uint64, copy=False))
+    if col.dtype.kind in "bi":
         v = col.astype(np.int64, copy=False)
         return _integer_cells(v < 0, np.abs(v).view(np.uint64))  # as uint64, |int64 min| is 2**63
     col = col.astype(np.float64, copy=False)

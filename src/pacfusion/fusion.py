@@ -17,6 +17,19 @@ layer inputs; backward reads a layer's ReLU mask from the next layer's
 input (activation > 0 exactly where the pre-activation was). The
 max-pool caches one slot per (point, channel), and backward routes the
 pooled gradient into those slots with one scatter.
+
+The elementwise passes run over blocks of _BLOCK points (K * _BLOCK MLP
+rows), so each pass finds its operands in L2 instead of streaming the
+whole (N*K, width) array from memory once per pass: the hidden layers'
+bias and ReLU; then, per block of points, the output bias, both slot sums,
+the max-pool and its argmax, written straight into the output rows; and
+in backward, the max-pool scatter, indexed within its block. Every
+element sees the same operations in the same order as over the whole
+array, so blocking changes no bit. The GEMMs and the column sums
+(grad_w, grad_b, the aggregation einsum) stay whole: a GEMM is already
+blocked inside BLAS, and a column sum split into row blocks would add in
+another order and change bits. The backward head and ReLU mask stay whole
+too: blocked, they held more memory at peak.
 """
 
 from __future__ import annotations
@@ -193,6 +206,12 @@ class _ForwardCache:
     argmax: np.ndarray | None = None  # (N, D_i) lowest max-pool slot per channel
 
 
+# points per block of the passes outside the GEMMs: at backbone widths (K=3,
+# D_i=135, D_o=64) a block's neighbour rows take 830 KB and each (block, D_o)
+# temporary 130 KB, so a pass over one block finds its operands in L2
+_BLOCK = 256
+
+
 def _sorted_slot_sum(v: np.ndarray) -> np.ndarray:
     """Sum (N, K, D) over the slots in ascending order, so any slot order gives the same bits.
 
@@ -222,24 +241,31 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
         cache.activations.append(h)
         h = h @ w
-        h += b
         if li < n_layers - 1:
-            np.maximum(h, 0.0, out=h)
+            for lo in range(0, n * k, _BLOCK * k):
+                z = h[lo : lo + _BLOCK * k]
+                z += b
+                np.maximum(z, 0.0, out=z)
     y_cc_k = h.reshape(n, k, d_o)
     cache.y_cc_k = y_cc_k
 
     values = np.empty((n, 2 * d_o + d_i))
-    values[:, :d_o] = _sorted_slot_sum(y_cc_k)
-    values[:, d_o : 2 * d_o] = _sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
-    # running max over the slots; strict > keeps ties on the lowest slot
-    y_pool = values[:, 2 * d_o :]
-    y_pool[...] = rows[:, 0]
     cache.argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
-    for s in range(1, k):
-        better = rows[:, s] > y_pool
-        np.maximum(y_pool, rows[:, s], out=y_pool)
-        # s exceeds every slot stored so far, so max() stores it exactly where better
-        np.maximum(cache.argmax, better * cache.argmax.dtype.type(s), out=cache.argmax)
+    aggr = params.aggr_weights[None, :, None]
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        y, x, top, out = y_cc_k[blk], rows[blk], cache.argmax[blk], values[blk]
+        y += params.biases[-1]
+        out[:, :d_o] = _sorted_slot_sum(y)
+        out[:, d_o : 2 * d_o] = _sorted_slot_sum(aggr * y)
+        # running max over the slots; strict > keeps ties on the lowest slot
+        pool = out[:, 2 * d_o :]
+        pool[...] = x[:, 0]
+        for s in range(1, k):
+            better = x[:, s] > pool
+            np.maximum(pool, x[:, s], out=pool)
+            # s exceeds every slot stored so far, so max() stores it exactly where better
+            np.maximum(top, better * top.dtype.type(s), out=top)
     return FusedFeatures(values=values), cache
 
 
@@ -273,12 +299,16 @@ def pacf_backward(
         g = g @ params.weights[li].T
 
     # max-pool: each (point, channel) adds to its one argmax slot, so no flat index
-    # repeats; g is a fresh C-order GEMM result, so reshape(-1) is a view of it
-    slot = cache.argmax + np.arange(n)[:, None] * k
-    slot *= d_i
-    slot += np.arange(d_i)
-    g = g.reshape(-1)
-    g[slot] += g_pool
+    # repeats; g is a fresh C-order GEMM result, so its row blocks are contiguous
+    g = g.reshape(n, k * d_i)
+    offsets = np.arange(_BLOCK)[:, None] * (k * d_i) + np.arange(d_i)
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        # intp before the multiply: a uint8 slot times d_i would wrap
+        flat = cache.argmax[blk].astype(np.intp)
+        flat *= d_i
+        flat += offsets[: len(flat)]
+        g[blk].reshape(-1)[flat] += g_pool[blk]
     grad_rows = g.reshape(n, k, d_i)
     return grad_w, grad_b, grad_aggr, grad_rows
 

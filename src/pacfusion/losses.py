@@ -130,22 +130,28 @@ def focal_loss(
 ) -> tuple[float, np.ndarray, bool]:
     """Mean focal term over supervised pixels.
 
-    predictions: (H, W) foreground probabilities. Returns (loss, gradient
-    w.r.t. predictions, warning) where warning flags the zero-supervision
-    case (loss defined as 0).
+    predictions: (H, W) foreground probabilities, the shape of the mask.
+    Returns (loss, gradient w.r.t. predictions, warning) where warning
+    flags the zero-supervision case (loss defined as 0). Only the
+    supervised pixels are read: the terms, their derivatives and the clamp
+    are evaluated on those alone, in row-major order, and scattered into a
+    zero gradient.
     """
-    sup = mask.supervised
-    count = int(sup.sum())
+    if predictions.shape != mask.state.shape:
+        raise ValueError(f"predictions have shape {predictions.shape} but the mask has shape {mask.state.shape}")
+    idx = np.flatnonzero(mask.supervised)
+    count = len(idx)
     grad = np.zeros_like(predictions, dtype=np.float64)
     if count == 0:
         return 0.0, grad, True
-    p = np.clip(predictions, PROB_EPS, 1.0 - PROB_EPS)
-    fg = mask.state == FOREGROUND
+    pred = predictions.take(idx)
+    p = np.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
+    fg = mask.state.take(idx) == FOREGROUND
 
     p_t = np.where(fg, p, 1.0 - p)
     alpha_t = np.where(fg, cfg.alpha, 1.0 - cfg.alpha)
     terms = -alpha_t * (1.0 - p_t) ** cfg.gamma * np.log(p_t)
-    loss = float(terms[sup].sum() / count)
+    loss = float(terms.sum() / count)
 
     # d/dp_t of the focal term, then chain through p_t = p or 1 - p
     dt = alpha_t * (
@@ -154,8 +160,8 @@ def focal_loss(
     )
     dp = np.where(fg, dt, -dt) / count
     # clamp saturates the gradient outside (eps, 1 - eps)
-    interior = (predictions > PROB_EPS) & (predictions < 1.0 - PROB_EPS)
-    grad[sup & interior] = dp[sup & interior]
+    interior = (pred > PROB_EPS) & (pred < 1.0 - PROB_EPS)
+    grad.flat[idx[interior]] = dp[interior]
     return loss, grad, False
 
 

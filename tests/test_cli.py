@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pacfusion import cli, fusion, geometry, kitti, losses
@@ -84,24 +84,34 @@ _CSV_FLOATS = st.one_of(
 )
 
 
+_CSV_UINT64 = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**31, 2**63 - 1, 2**63, 2**64 - 1]))
+
+
 def _table(n):
-    """Equal-length int64, float and bool columns of n rows, the float cells drawn from the edge values."""
+    """Equal-length int64, float, bool, uint8 and uint64 columns of n rows, the float cells drawn from the edge values."""
     return st.tuples(
         hnp.arrays(np.int64, (n, 2), elements=st.integers(-2**63, 2**63 - 1)),
         hnp.arrays(np.float64, (n, 3), elements=_CSV_FLOATS),
         hnp.arrays(np.bool_, n),
+        hnp.arrays(np.uint8, n),
+        hnp.arrays(np.uint64, n, elements=_CSV_UINT64),
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=st.integers(0, 12).flatmap(_table))
+@example(table=(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3)), np.zeros(2, dtype=bool),
+                np.array([0, 255], dtype=np.uint8), np.array([2**63, 2**64 - 1], dtype=np.uint64)))
 def test_csv_rows_matches_percent(table):
-    """Every cell as % prints it: int64 (int64 min too) and bool cells as %d, float edge values as %.6f."""
-    ints, floats, flags = table
+    """Every cell as % prints it: int64 (int64 min too), bool and unsigned (2**63 and above too) cells as %d, float edge values as %.6f."""
+    ints, floats, flags, small, large = table
     assert cli._csv_rows(*ints.T) == "".join("%d,%d\n" % tuple(row) for row in ints.tolist())
     got = cli._csv_rows(ints[:, 0], *floats.T, flags, ints[:, 1])
     rows = zip(ints[:, 0].tolist(), floats.tolist(), flags.tolist(), ints[:, 1].tolist())
     assert got == "".join("%d,%.6f,%.6f,%.6f,%d,%d\n" % (i, *xyz, f, j) for i, xyz, f, j in rows)
+    got = cli._csv_rows(small, large, ints[:, 0])
+    rows = zip(small.tolist(), large.tolist(), ints[:, 0].tolist())
+    assert got == "".join("%d,%d,%d\n" % row for row in rows)
 
 
 def test_csv_rows_matches_fstring_loop():

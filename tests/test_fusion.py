@@ -442,14 +442,23 @@ class TestReferenceBits:
 
     @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
     def test_forward_and_backward_match_references(self, k, c_lidar):
-        cloud, semantic, nbr, sem_valid, features = tied_frame(k, c_lidar)
+        self._check_forward_and_backward(*tied_frame(k, c_lidar))
+
+    @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
+    def test_forward_and_backward_match_references_across_blocks(self, k, c_lidar):
+        """Several whole point blocks and a ragged last one, so every pass crosses block edges."""
+        n = 3 * fusion._BLOCK + 18
+        self._check_forward_and_backward(*tied_frame(k, c_lidar, n=n))
+
+    @staticmethod
+    def _check_forward_and_backward(cloud, semantic, nbr, sem_valid, features):
         nf = fusion.assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=features)
+        k, d_i = nbr.shape[1], nf.dims.d_i
         if k > 1:  # whole rows tie across slots, including with slot 0
             assert (nf.rows[:, 1:] == nf.rows[:, :1]).all(axis=2).any()
             assert ((nf.rows == nf.rows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
-        d_i = nf.dims.d_i
         params = fusion.init_params(fusion.MlpSpec(widths=(d_i, d_i, BACKBONE.d_o)), k, seed=k)
-        rng = np.random.default_rng([k, c_lidar])
+        rng = np.random.default_rng([k, nf.dims.c_lidar])
         params.aggr_weights = rng.normal(size=k)
         grad_out = rng.normal(size=(len(nbr), 2 * BACKBONE.d_o + d_i))
         fused, cache = fusion.pacf_forward(nf, params)

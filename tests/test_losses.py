@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pacfusion import geometry, losses
-from pacfusion.losses import BACKGROUND, FOREGROUND, UNSUPERVISED, FocalLossConfig, SparseMask
+from pacfusion.losses import BACKGROUND, FOREGROUND, PROB_EPS, UNSUPERVISED, FocalLossConfig, SparseMask
 from pacfusion.types import Box3D, PointCloud
 
 from conftest import make_calib
@@ -71,11 +71,86 @@ class TestFocalLoss:
 
         assert check_focal_gradients(n_instances=20, seed=21) < 1e-4
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3), (2, 1)])
+    def test_shape_mismatch_names_both_shapes(self, shape):
+        mask = SparseMask(state=np.full((2, 3), FOREGROUND, dtype=np.uint8))
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\).*shape \(2, 3\)"):
+            losses.focal_loss(np.full(shape, 0.5), mask)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FocalLossConfig(alpha=0.0)
         with pytest.raises(ValueError):
             FocalLossConfig(gamma=-1.0)
+
+
+def whole_map_focal_loss(predictions, mask, cfg=FocalLossConfig()):
+    """Reference: the focal term and its derivative evaluated over the whole map, then masked."""
+    sup = mask.supervised
+    count = int(sup.sum())
+    grad = np.zeros_like(predictions, dtype=np.float64)
+    if count == 0:
+        return 0.0, grad, True
+    p = np.clip(predictions, PROB_EPS, 1.0 - PROB_EPS)
+    fg = mask.state == FOREGROUND
+    p_t = np.where(fg, p, 1.0 - p)
+    alpha_t = np.where(fg, cfg.alpha, 1.0 - cfg.alpha)
+    terms = -alpha_t * (1.0 - p_t) ** cfg.gamma * np.log(p_t)
+    loss = float(terms[sup].sum() / count)
+    dt = alpha_t * (
+        cfg.gamma * (1.0 - p_t) ** (cfg.gamma - 1.0) * np.log(p_t)
+        - (1.0 - p_t) ** cfg.gamma / p_t
+    )
+    dp = np.where(fg, dt, -dt) / count
+    interior = (predictions > PROB_EPS) & (predictions < 1.0 - PROB_EPS)
+    grad[sup & interior] = dp[sup & interior]
+    return loss, grad, False
+
+
+_EDGE_PREDICTIONS = [0.0, -0.0, 1.0, PROB_EPS, 1.0 - PROB_EPS, np.nextafter(PROB_EPS, 0),
+                     np.nextafter(1.0 - PROB_EPS, 2), -0.25, 1.5, -np.inf, np.inf, np.nan]
+
+
+def _edge_predictions(rng, state):
+    """Uniform probabilities, with each clamp edge and each value outside [0, 1] on two pixels of every mask state."""
+    preds = rng.uniform(0.0, 1.0, size=state.shape)
+    for level in np.unique(state):
+        spots = rng.choice(np.flatnonzero(state == level), size=(len(_EDGE_PREDICTIONS), 2), replace=False)
+        for value, where in zip(_EDGE_PREDICTIONS, spots):
+            preds.flat[where] = value
+    return preds
+
+
+class TestFocalLossMatchesWholeMap:
+    """The loss read at supervised pixels only gives the whole-map reference's bits."""
+
+    @staticmethod
+    def _assert_same(preds, mask, cfg):
+        loss, grad, warn = losses.focal_loss(preds, mask, cfg)
+        want_loss, want_grad, want_warn = whole_map_focal_loss(preds, mask, cfg)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+        assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+        assert warn == want_warn
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, 2.0])
+    def test_mixed_mask_edge_predictions(self, rng, gamma):
+        state = rng.choice([UNSUPERVISED, BACKGROUND, FOREGROUND], p=[0.6, 0.3, 0.1], size=(37, 53)).astype(np.uint8)
+        preds = _edge_predictions(rng, state)
+        mask = SparseMask(state=state)
+        assert (state == FOREGROUND).any() and (state == BACKGROUND).any() and (state == UNSUPERVISED).any()
+        cfg = FocalLossConfig(alpha=0.25, gamma=gamma)
+        self._assert_same(preds, mask, cfg)
+        self._assert_same(preds.astype(np.float32), mask, cfg)
+        self._assert_same(np.asfortranarray(preds), mask, cfg)
+        # with NaN and infinite predictions left out the loss is finite, so its bits say more
+        finite = np.where(np.isfinite(preds), preds, 0.5)
+        assert np.isfinite(losses.focal_loss(finite, mask, cfg)[0])
+        self._assert_same(finite, mask, cfg)
+
+    def test_zero_supervision(self, rng):
+        state = np.zeros((9, 11), dtype=np.uint8)
+        self._assert_same(_edge_predictions(rng, state), SparseMask(state=state), FocalLossConfig())
 
 
 class TestTotalLoss:
