@@ -192,8 +192,7 @@ def cmd_project(args) -> int:
 
 def cmd_knn(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
-    tree = kdtree.KdTree(cloud.xyz)
-    idx = np.array([tree.query(p, k=args.k, d=args.dist).indices for p in cloud.xyz], dtype=np.int64)
+    idx = kdtree.knn_table(cloud.xyz, args.k, args.dist)
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
     sys.stdout.write(_csv_rows(np.arange(len(cloud)), *idx.T))
     if args.verify:

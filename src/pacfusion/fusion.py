@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PixelCoords, nearest_pixel, project_points
-from .kdtree import KdTree
+from .kdtree import knn_table
 from .kitti import CalibrationSet, FormatError
 from .types import FeatureMap, FusionDims, PointCloud
 
@@ -89,9 +89,13 @@ class PacfParams:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must pair up")
-        for w, b in zip(self.weights, self.biases):
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape[1] != b.shape[0]:
                 raise ValueError(f"bias width {b.shape[0]} != layer fan-out {w.shape[1]}")
+            if li and w.shape[0] != self.weights[li - 1].shape[1]:
+                raise ValueError(f"layer {li} takes width {w.shape[0]} but layer {li - 1} gives {self.weights[li - 1].shape[1]}")
+        if self.k < 1:
+            raise ValueError(f"k={self.k}, needs at least one aggregation weight")
         for arr in (*self.weights, *self.biases, self.aggr_weights):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
@@ -338,10 +342,7 @@ def fuse_cloud(
         return PointCloud._trusted(cloud.xyz, cloud.reflectance, feats)
     if params is None:
         raise ValueError("v1 fusion requires operator parameters")
-    tree = KdTree(cloud.xyz)
-    nbr = np.empty((len(cloud), k), dtype=np.int64)
-    for i in range(len(cloud)):
-        nbr[i] = tree.query(cloud.xyz[i], k=k, d=d).indices
+    nbr = knn_table(cloud.xyz, k, d)
     nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=cloud.features)
     fused, _ = pacf_forward(nf, params)
     return PointCloud._trusted(cloud.xyz, cloud.reflectance, fused.values)
@@ -368,8 +369,6 @@ def load_params(path) -> PacfParams:
     version, k, n_widths = struct.unpack("<HII", raw[4:14])
     if version != PARAMS_VERSION:
         raise FormatError(f"parameter container: unsupported version {version}")
-    if k < 1:
-        raise FormatError(f"parameter container: k={k}, needs at least one neighbor slot")
     pos = 14 + 4 * n_widths
     if len(raw) < pos:
         raise FormatError("parameter container: truncated header")

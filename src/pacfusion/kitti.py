@@ -148,8 +148,6 @@ def read_labels(path) -> list[Box3D]:
             h, w, l = (float(v) for v in fields[8:11])
             x, y, z = (float(v) for v in fields[11:14])
             ry = float(fields[14])
-            if not np.all(np.isfinite([h, w, l, x, y, z, ry])):
-                raise ValueError("box fields must be finite")
             boxes.append(
                 Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=ry, label=kind, dontcare=kind == "DontCare")
             )

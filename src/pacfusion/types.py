@@ -136,6 +136,8 @@ class Box3D:
     dontcare: bool = field(default=False)
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.x, self.y, self.z, self.h, self.w, self.l, self.ry])):
+            raise ValueError("box fields must be finite")
         if not self.dontcare:
             if self.h <= 0 or self.w <= 0 or self.l <= 0:
                 raise ValueError(f"box dimensions must be positive: h={self.h} w={self.w} l={self.l}")

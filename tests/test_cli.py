@@ -198,7 +198,7 @@ def test_fuse_checkpoint_mismatch_before_knn(synthetic_frame, capsys, monkeypatc
     def no_knn(*args, **kwargs):
         raise AssertionError("the kNN ran before the checkpoint was checked")
 
-    monkeypatch.setattr(fusion, "KdTree", no_knn)
+    monkeypatch.setattr(fusion, "knn_table", no_knn)
     code, out = run(
         [
             "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
@@ -361,7 +361,7 @@ def test_fuse_mlp_width_mismatch_before_knn(synthetic_frame, capsys, monkeypatch
     def no_knn(*args, **kwargs):
         raise AssertionError("the kNN ran before the --mlp widths were checked")
 
-    monkeypatch.setattr(fusion, "KdTree", no_knn)
+    monkeypatch.setattr(fusion, "knn_table", no_knn)
     code, out = run(PREPARE_ARGV["fuse"](f) + ["--mlp", "6,8,8", "--n-sample", 64], capsys)
     assert code == cli.EXIT_USAGE
     assert "--mlp takes rows of width 6 but the frame gives width 4" in out.err

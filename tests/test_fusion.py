@@ -495,7 +495,7 @@ class TestParamsIO:
 
     @pytest.mark.parametrize(
         "case, match",
-        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths")],
+        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths"), ("k_zero", "k=0")],
     )
     def test_malformed_container(self, tmp_path, case, match):
         head = fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 3, 3)
@@ -504,11 +504,27 @@ class TestParamsIO:
             "short_payload": head + struct.pack("<3I", 5, 7, 3) + b"\x00" * 80,
             "one_width": fusion.PARAMS_MAGIC + struct.pack("<HIII", fusion.PARAMS_VERSION, 1, 1, 5)
             + struct.pack("<d", 1.0),
+            # widths 5, 7, 3 with every weight and bias present but no aggregation scalar
+            "k_zero": fusion.PARAMS_MAGIC + struct.pack("<HII3I", fusion.PARAMS_VERSION, 0, 3, 5, 7, 3)
+            + b"\x00" * 8 * (5 * 7 + 7 + 7 * 3 + 3),
         }[case]
         path = tmp_path / "p.pacw"
         path.write_bytes(raw)
         with pytest.raises(FormatError, match=match):
             fusion.load_params(path)
+
+    @pytest.mark.parametrize(
+        "weights, biases, aggr, match",
+        [
+            ([(5, 4), (6, 3)], [4, 3], 3, "layer 1 takes width 6 but layer 0 gives 4"),
+            ([(5, 4), (4, 3)], [4, 3], 0, "k=0"),
+        ],
+        ids=["unchained", "k_zero"],
+    )
+    def test_params_rejected(self, weights, biases, aggr, match):
+        with pytest.raises(ValueError, match=match):
+            fusion.PacfParams(weights=[np.zeros(s) for s in weights], biases=[np.zeros(b) for b in biases],
+                              aggr_weights=np.ones(aggr))
 
 
 class TestFuseCloud:

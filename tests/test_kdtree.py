@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pacfusion.kdtree import KdTree, knn_brute, knn_query
+from pacfusion.kdtree import KdTree, knn_brute, knn_query, knn_table
 
 from conftest import random_cloud
 
@@ -65,14 +67,13 @@ def _radius_excludes_all(rng):
     return pts, rng.uniform(-6, 6, size=(30, 3)), (1, 3), (1e-6,)
 
 
-@pytest.mark.parametrize("leaf", [1, 2, 16], ids=lambda leaf: f"leaf{leaf}")
 @pytest.mark.parametrize(
     "make", [_uniform, _lattice, _duplicated, _k_above_n, _radius_excludes_all],
     ids=["uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all"],
 )
-def test_oracle_equivalence(rng, make, leaf):
+def test_oracle_equivalence(rng, make):
     pts, targets, ks, ds = make(rng)
-    tree = KdTree(pts, leaf_size=leaf)
+    tree = KdTree(pts)
     for k in ks:
         for d in ds:
             for t in targets:
@@ -80,6 +81,37 @@ def test_oracle_equivalence(rng, make, leaf):
                 want = knn_brute(pts, t, k, d)
                 assert np.array_equal(got.indices, want.indices), (k, d, t)
                 assert np.array_equal(got.distances, want.distances), (k, d, t)
+
+
+@st.composite
+def _knn_case(draw):
+    """A cloud of 1 to ~300 points with duplicate rows and, on the lattice, exact ties; targets on and off it."""
+    n = draw(st.integers(1, 300))
+    lattice = draw(st.booleans())
+    coord = st.integers(-3, 3).map(float) if lattice else st.floats(-10, 10, allow_subnormal=False)
+    pts = draw(hnp.arrays(np.float64, (n, 3), elements=coord))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    pts = np.vstack([pts, pts[repeats]])
+    off = draw(hnp.arrays(np.float64, (draw(st.integers(0, 4)), 3), elements=st.floats(-20, 20) | coord))
+    targets = np.vstack([pts[draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=4))], off])
+    k = draw(st.integers(1, len(pts) + 3))
+    d = draw(st.sampled_from([0.0, np.inf]) | st.floats(0.0, 8.0))
+    return pts, targets, k, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_knn_case())
+def test_query_and_table_match_brute(case):
+    pts, targets, k, d = case
+    tree = KdTree(pts)
+    for t in targets:
+        got, want = knn_query(tree, t, k, d), knn_brute(pts, t, k, d)
+        assert np.array_equal(got.indices, want.indices), (t, k, d)
+        assert got.distances.tobytes() == want.distances.tobytes(), (t, k, d)
+    table = knn_table(pts, k, d)
+    assert table.dtype == np.int64 and table.shape == (len(pts), k)
+    for i, p in enumerate(pts):
+        assert np.array_equal(table[i], knn_brute(pts, p, k, d).indices), (i, k, d)
 
 
 def test_self_query_table_matches_brute(rng):
@@ -91,20 +123,31 @@ def test_self_query_table_matches_brute(rng):
     np.testing.assert_array_equal([g.distances for g in got], [w.distances for w in want])
 
 
+def _lattice_5():
+    """A 5x5x5 integer lattice: 125 points, so ties lie on both sides of split planes."""
+    return np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def test_tie_break_lower_index():
-    # four points at identical distance from the origin
-    pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
-    res = knn_query(KdTree(pts, leaf_size=1), (0, 0, 0), k=2)
-    np.testing.assert_array_equal(res.indices, [0, 1])
+    pts = _lattice_5()
+    tree = KdTree(pts)
+    # the centre (2, 2, 2) = index 62 and its six axis neighbours at distance 1
+    res = knn_query(tree, (2, 2, 2), k=4)
+    np.testing.assert_array_equal(res.indices, [62, 37, 57, 61])
+    # a cell centre: 8 corners at equal distance, lowest indices first
+    res = knn_query(tree, (1.5, 1.5, 1.5), k=3)
+    np.testing.assert_array_equal(res.indices, [31, 32, 36])
 
 
-def test_duplicate_points(rng):
-    pts = np.repeat(rng.uniform(-5, 5, size=(20, 3)), 3, axis=0)
-    tree = KdTree(pts, leaf_size=2)
-    for t in pts[::7]:
-        got = knn_query(tree, t, 5)
-        want = knn_brute(pts, t, 5)
-        np.testing.assert_array_equal(got.indices, want.indices)
+def test_duplicate_points():
+    pts = np.repeat(_lattice_5(), 3, axis=0)
+    tree = KdTree(pts)
+    for t in np.vstack([pts[::29], pts[::31] + 0.5]):
+        for k in (2, 5, 9):
+            got = knn_query(tree, t, k)
+            want = knn_brute(pts, t, k)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.distances, want.distances)
 
 
 def test_distances_monotone(rng):
@@ -122,11 +165,3 @@ def test_determinism(rng):
     b = knn_query(KdTree(pts), t, 5)
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.distances, b.distances)
-
-
-def test_small_leaf_sizes(rng):
-    pts = rng.normal(size=(64, 3))
-    want = knn_brute(pts, pts[10], 4)
-    for leaf in (1, 2, 5, 64):
-        got = knn_query(KdTree(pts, leaf_size=leaf), pts[10], 4)
-        np.testing.assert_array_equal(got.indices, want.indices)

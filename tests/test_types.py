@@ -114,3 +114,12 @@ class TestBox3D:
     def test_dontcare_skips_validation(self):
         box = Box3D(x=0, y=0, z=0, h=-1, w=-1, l=-1, ry=-10, dontcare=True)
         assert box.dontcare
+
+    @pytest.mark.parametrize("dontcare", [False, True], ids=["car", "dontcare"])
+    @pytest.mark.parametrize("field", ["x", "y", "z", "h", "w", "l", "ry"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_rejected(self, field, bad, dontcare):
+        fields = dict(x=0.0, y=0.0, z=5.0, h=1.0, w=1.0, l=1.0, ry=0.0)
+        fields[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(**fields, dontcare=dontcare)
