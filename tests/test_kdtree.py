@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pacfusion import kdtree
 from pacfusion.kdtree import KdTree, knn_brute, knn_query, knn_table
 
 from conftest import random_cloud
@@ -67,11 +68,14 @@ def _radius_excludes_all(rng):
     return pts, rng.uniform(-6, 6, size=(30, 3)), (1, 3), (1e-6,)
 
 
+@pytest.mark.parametrize("leaf", [1, 2, 16], ids=lambda leaf: f"leaf{leaf}")
 @pytest.mark.parametrize(
     "make", [_uniform, _lattice, _duplicated, _k_above_n, _radius_excludes_all],
     ids=["uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all"],
 )
-def test_oracle_equivalence(rng, make):
+def test_oracle_equivalence(rng, monkeypatch, make, leaf):
+    # smaller leaves make deeper trees, so more ties and pruning decisions fall on split planes
+    monkeypatch.setattr(kdtree, "_LEAF", leaf)
     pts, targets, ks, ds = make(rng)
     tree = KdTree(pts)
     for k in ks:
