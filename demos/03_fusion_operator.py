@@ -19,7 +19,7 @@ from pacfusion import (
 from pacfusion.gradcheck import check_pacf_gradients
 
 dims = FusionDims(c_seg=2, c_lidar=4, d_o=8)
-print(f"D_i = {dims.d_i}, output width = {dims.out_width}")
+print(f"D_i = {dims.d_i}, output width = {2 * dims.d_o + dims.d_i}")
 
 rng = np.random.default_rng(2)
 K, N = 3, 10

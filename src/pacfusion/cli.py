@@ -217,16 +217,16 @@ def cmd_fuse(args) -> int:
         dims = FusionDims(fmap.channels, cloud.c_lidar, args.dout)
         if args.params:
             params = fusion.load_params(args.params)
-            source = f"checkpoint {args.params}"
         else:
             spec = args.mlp or fusion.MlpSpec.default(dims.d_i, dims.d_o)
             params = fusion.init_params(spec, args.k, seed=args.seed)
-            source = "--mlp"
         # check the operator fits before the per-point kNN queries
-        params.check_fit(
-            args.k, dims.d_i, source, k_name="--k is ", rows="the frame gives",
-            breakdown=f" ({fmap.channels} semantic + {cloud.c_lidar} point channels + 3)",
-        )
+        try:
+            params.check_fit(args.k, dims.d_i)
+        except ValueError as exc:
+            source = f"checkpoint {args.params}" if args.params else "--mlp"
+            raise ValueError(f"{source}: {exc} (--k is {args.k}; the frame gives rows of width {dims.d_i}"
+                             f" = {fmap.channels} semantic + {cloud.c_lidar} point channels + 3)") from None
     fused = fusion.fuse_cloud(
         cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode
     )
@@ -322,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("velodyne")
     p.add_argument("calib")
     p.add_argument("featuremap")
-    p.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
+    operator = p.add_mutually_exclusive_group()
+    operator.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
+    operator.add_argument("--mlp", type=_mlp_spec, default=None, help="layer widths of the random init")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     p.add_argument("--dout", type=_positive_int, default=8)
-    p.add_argument("--mlp", type=_mlp_spec, default=None)
     _add_common(p)
     _add_neighbors(p)
     p.set_defaults(func=cmd_fuse)

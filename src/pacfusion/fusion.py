@@ -87,13 +87,18 @@ class PacfParams:
     aggr_weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if not self.weights:
+            raise ValueError("the MLP needs at least one layer, i.e. input and output widths")
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must pair up")
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError(f"bias width {b.shape[0]} != layer fan-out {w.shape[1]}")
+            if w.ndim != 2 or b.shape != w.shape[1:]:
+                raise ValueError(f"layer {li} needs a 2-D weight and a 1-D bias of its fan-out, got {w.shape} and {b.shape}")
             if li and w.shape[0] != self.weights[li - 1].shape[1]:
                 raise ValueError(f"layer {li} takes width {w.shape[0]} but layer {li - 1} gives {self.weights[li - 1].shape[1]}")
+        self.spec  # building the MlpSpec checks each width >= 1
+        if self.aggr_weights.ndim != 1:
+            raise ValueError(f"aggregation weights must be 1-D, got shape {self.aggr_weights.shape}")
         if self.k < 1:
             raise ValueError(f"k={self.k}, needs at least one aggregation weight")
         for arr in (*self.weights, *self.biases, self.aggr_weights):
@@ -108,15 +113,12 @@ class PacfParams:
     def spec(self) -> MlpSpec:
         return MlpSpec(widths=(self.weights[0].shape[0], *(w.shape[1] for w in self.weights)))
 
-    def check_fit(
-        self, k: int, d_i: int, source: str = "the operator", k_name: str = "K=",
-        rows: str = "the neighbor rows give", breakdown: str = "",
-    ) -> None:
+    def check_fit(self, k: int, d_i: int) -> None:
         """Raise ValueError unless these parameters take K=k neighbor slots of rows of width d_i."""
         if self.k != k:
-            raise ValueError(f"{source} has k={self.k} but {k_name}{k}")
+            raise ValueError(f"the parameters have k={self.k} but the rows have K={k}")
         if self.spec.d_i != d_i:
-            raise ValueError(f"{source} takes rows of width {self.spec.d_i} but {rows} width {d_i}{breakdown}")
+            raise ValueError(f"the parameters take rows of width {self.spec.d_i} but the rows have width {d_i}")
 
 
 def init_params(spec: MlpSpec, k: int, seed: int = 0) -> PacfParams:
@@ -159,11 +161,8 @@ def retrieve_features(pixels: PixelCoords, fmap: FeatureMap) -> tuple[np.ndarray
     invalid pixels get a zero vector. Returns (vectors, valid) with
     vectors shaped (N, C_seg).
     """
-    n = len(pixels)
-    out = np.zeros((n, fmap.channels))
+    out = np.zeros((len(pixels), fmap.channels))
     idx = np.nonzero(pixels.valid)[0]
-    if len(idx) == 0:
-        return out, pixels.valid.copy()
     rows, cols = nearest_pixel(pixels.u[idx], pixels.v[idx], (fmap.height, fmap.width))
     out[idx] = fmap.data[rows, cols]
     return out, pixels.valid.copy()
@@ -174,7 +173,7 @@ def assemble_neighbors(
     semantic: np.ndarray,
     neighbor_idx: np.ndarray,
     semantic_valid: np.ndarray,
-    point_features: np.ndarray | None = None,
+    point_features: np.ndarray | None,
 ) -> NeighborFeatures:
     """Build the (N, K, D_i) neighbor tensor.
 
@@ -184,8 +183,6 @@ def assemble_neighbors(
     """
     neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
     c_seg = semantic.shape[1]
-    if point_features is None:
-        point_features = cloud.features
     c_lidar = 0 if point_features is None else point_features.shape[1]
     dims = FusionDims(c_seg, c_lidar, d_o=1)  # d_o irrelevant for assembly
     # one row per point, gathered once for all N*K neighbour slots
@@ -332,7 +329,6 @@ def fuse_cloud(
     v2: output features are [semantic | existing point features] only,
     with no convolution (the input-level fusion strategy).
     """
-    mode = mode.lower()
     if mode not in ("v1", "v2"):
         raise ValueError(f"mode must be v1 or v2, got {mode!r}")
     pixels = project_points(cloud, calib, (fmap.height, fmap.width))
@@ -385,7 +381,6 @@ def load_params(path) -> PacfParams:
         pos += 8 * fan_out
     aggr = np.frombuffer(raw[pos:], dtype="<f8").copy()
     try:
-        MlpSpec(widths=widths)
         return PacfParams(weights=weights, biases=biases, aggr_weights=aggr)
     except ValueError as exc:
         raise FormatError(f"parameter container: {exc}") from None

@@ -5,7 +5,8 @@ brute-force twin used as the test oracle. Both obey the same contract:
 neighbors ordered by squared distance ascending, ties broken by lower
 point index, under-filled neighborhoods padded by cycling the found
 neighbors so the result always has exactly k slots, and, when the radius
-d excludes every point, the overall nearest point in all k slots.
+d excludes every point, the overall nearest point in all k slots. The
+radius is a float >= 0, inf for none; a NaN or negative d is a ValueError.
 
 The tree is implicit in a permutation of the points. A node is a span
 [lo, hi) of it, split on axis depth % 3 at mid = (lo + hi) // 2, or a
@@ -26,7 +27,6 @@ so the plane distance never exceeds a point's rounded d².
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -116,9 +116,16 @@ def knn_query(tree: KdTree, target, k: int, d: float = np.inf) -> NeighborSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     target = np.asarray(target, dtype=np.float64).reshape(3).tolist()
-    d = float(d)
-    found = _search(tree, target, k, d * d if math.isfinite(d) else math.inf) or _search(tree, target, 1, math.inf)
+    found = _search(tree, target, k, _squared_radius(d)) or _search(tree, target, 1, np.inf)
     return _finalize(found, k)
+
+
+def _squared_radius(d: float) -> float:
+    """d * d for a radius d >= 0, inf allowed; a NaN or negative d is a ValueError."""
+    d = float(d)
+    if not d >= 0:
+        raise ValueError(f"radius d must be >= 0, got {d}")
+    return d * d
 
 
 def knn_table(points, k: int, d: float = np.inf) -> np.ndarray:
@@ -132,13 +139,13 @@ def knn_brute(points, target, k: int, d: float = np.inf) -> NeighborSet:
     """Exhaustive-scan oracle with the same contract as knn_query."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    d2max = _squared_radius(d)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         raise ValueError("cannot search zero points")
     target = np.asarray(target, dtype=np.float64).reshape(3)
     d2s = np.sum((points - target) ** 2, axis=1)
     order = np.lexsort((np.arange(len(points)), d2s))
-    d2max = d * d if np.isfinite(d) else np.inf
     within = order[d2s[order] <= d2max]
     if len(within) == 0:
         within = order[:1]  # radius excludes everything; pad with overall nearest

@@ -34,10 +34,6 @@ class FusionDims:
     def d_i(self) -> int:
         return self.c_seg + self.c_lidar + 3
 
-    @property
-    def out_width(self) -> int:
-        return 2 * self.d_o + self.d_i
-
 
 @dataclass
 class PointCloud:

@@ -185,8 +185,9 @@ def test_fuse_with_checkpoint(tmp_path, synthetic_frame):
 @pytest.mark.parametrize(
     "widths, k_ckpt, k_flag, message",
     [
-        ((4, 6, 3), 3, 5, "has k=3 but --k is 5"),
-        ((6, 6, 3), 3, 3, "takes rows of width 6 but the frame gives width 4"),
+        ((4, 6, 3), 3, 5, "the parameters have k=3 but the rows have K=5 (--k is 5;"),
+        ((6, 6, 3), 3, 3, "the parameters take rows of width 6 but the rows have width 4 (--k is 3;"
+                          " the frame gives rows of width 4 = 1 semantic + 0 point channels + 3)"),
     ],
     ids=["k", "width"],
 )
@@ -207,7 +208,7 @@ def test_fuse_checkpoint_mismatch_before_knn(synthetic_frame, capsys, monkeypatc
         capsys,
     )
     assert code == cli.EXIT_USAGE
-    assert message in out.err
+    assert f"checkpoint {ckpt}: {message}" in out.err
 
 
 def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
@@ -224,6 +225,28 @@ def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):
             ]
         )
         assert code == cli.EXIT_FORMAT
+
+
+@pytest.mark.parametrize(
+    "widths, message",
+    [((), "at least one layer"), ((4,), "at least one layer"), ((4, 0, 3), "widths must be positive")],
+    ids=["no_widths", "one_width", "zero_width"],
+)
+def test_fuse_malformed_checkpoint_exit_code(synthetic_frame, capsys, widths, message):
+    f = synthetic_frame
+    n_values = sum(a * b + b for a, b in zip(widths[:-1], widths[1:])) + 3
+    ckpt = f["dir"] / "params.pacw"
+    ckpt.write_bytes(fusion.PARAMS_MAGIC + struct.pack(f"<HII{len(widths)}I", fusion.PARAMS_VERSION, 3, len(widths),
+                                                       *widths) + b"\x00" * 8 * n_values)
+    code, out = run(
+        [
+            "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
+            "--params", ckpt, "--out", f["dir"] / "o.pacf", "--n-sample", 64,
+        ],
+        capsys,
+    )
+    assert code == cli.EXIT_FORMAT
+    assert out.err.startswith("format error: parameter container:") and message in out.err
 
 
 def test_fuse_checkpoint_k_zero_is_format_error(synthetic_frame, capsys):
@@ -325,13 +348,14 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "0,4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
+        (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--mlp", "4,6,3"], "--mlp"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
          "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
-         "bev_roi_thin", "bev_roi_infinite"],
+         "mlp_with_params", "bev_roi_thin", "bev_roi_infinite"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -364,7 +388,8 @@ def test_fuse_mlp_width_mismatch_before_knn(synthetic_frame, capsys, monkeypatch
     monkeypatch.setattr(fusion, "knn_table", no_knn)
     code, out = run(PREPARE_ARGV["fuse"](f) + ["--mlp", "6,8,8", "--n-sample", 64], capsys)
     assert code == cli.EXIT_USAGE
-    assert "--mlp takes rows of width 6 but the frame gives width 4" in out.err
+    assert "--mlp: the parameters take rows of width 6 but the rows have width 4" in out.err
+    assert "the frame gives rows of width 4 = 1 semantic + 0 point channels + 3" in out.err
 
 
 def test_fuse_v2_builds_no_operator(synthetic_frame, capsys, monkeypatch):

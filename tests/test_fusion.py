@@ -1,7 +1,10 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pacfusion import fusion, geometry, kdtree
 from pacfusion.geometry import PixelCoords
@@ -37,13 +40,11 @@ def naive_forward(rows, weights, biases, aggr):
     return out
 
 
-def zero_fill_assemble(cloud, semantic, neighbor_idx, semantic_valid, point_features=None):
+def zero_fill_assemble(cloud, semantic, neighbor_idx, semantic_valid, point_features):
     """Reference: assembly into a zero-filled tensor, one gather per column block."""
     neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
     n, k = neighbor_idx.shape
     c_seg = semantic.shape[1]
-    if point_features is None:
-        point_features = cloud.features
     c_lidar = 0 if point_features is None else point_features.shape[1]
     rows = np.zeros((n, k, c_seg + c_lidar + 3))
     valid = semantic_valid[neighbor_idx]
@@ -177,7 +178,7 @@ class TestForward:
             nf = make_nf(rng, 3, k, dims)
             params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), k, seed=1)
             out, _ = fusion.pacf_forward(nf, params)
-            assert out.values.shape == (3, dims.out_width)
+            assert out.values.shape == (3, 2 * dims.d_o + dims.d_i)
 
     def test_permutation_invariance_sum_and_pool(self, rng):
         dims = FusionDims(c_seg=2, c_lidar=1, d_o=4)
@@ -249,7 +250,7 @@ class TestBackward:
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=5)
         _, cache = fusion.pacf_forward(nf, params)
         gw, gb, ga, grows = fusion.pacf_backward(
-            cache, params, np.zeros((3, dims.out_width))
+            cache, params, np.zeros((3, 2 * dims.d_o + dims.d_i))
         )
         for g in (*gw, *gb, ga, grows):
             np.testing.assert_array_equal(g, 0.0)
@@ -262,7 +263,7 @@ class TestBackward:
             weights=[np.eye(4)], biases=[np.zeros(4)], aggr_weights=np.array([1.0])
         )
         _, cache = fusion.pacf_forward(nf, params)
-        g = np.zeros((1, dims.out_width))
+        g = np.zeros((1, 2 * dims.d_o + dims.d_i))
         g_a = np.array([1.0, -2.0, 0.5, 3.0])
         g[0, dims.d_o : 2 * dims.d_o] = g_a
         _, _, ga, _ = fusion.pacf_backward(cache, params, g)
@@ -308,7 +309,7 @@ class TestBackward:
             weights=[np.zeros((4, 1))], biases=[np.zeros(1)], aggr_weights=np.zeros(2)
         )
         _, cache = fusion.pacf_forward(nf, params)
-        g = np.zeros((1, dims.out_width))
+        g = np.zeros((1, 2 * dims.d_o + dims.d_i))
         g[0, 2 * dims.d_o] = 1.0  # pool segment, channel 0
         _, _, _, grows = fusion.pacf_backward(cache, params, g)
         assert grows[0, 0, 0] == 1.0
@@ -324,7 +325,7 @@ class TestBackward:
             weights=[np.zeros((4, 1))], biases=[np.zeros(1)], aggr_weights=np.zeros(3)
         )
         _, cache = fusion.pacf_forward(nf, params)
-        g = np.zeros((1, dims.out_width))
+        g = np.zeros((1, 2 * dims.d_o + dims.d_i))
         g[0, 2 * dims.d_o : 2 * dims.d_o + 2] = [1.0, 2.0]  # pool segment, channels 0 and 1
         _, _, _, grows = fusion.pacf_backward(cache, params, g)
         np.testing.assert_array_equal(grows[0, :, 0], [0.0, 1.0, 0.0])
@@ -387,7 +388,7 @@ class TestAssemble:
         valid = np.ones(6, bool)
         valid[4] = False
         nbr = np.array([[i, (i + 1) % 6, (i + 2) % 6] for i in range(6)])
-        nf = fusion.assemble_neighbors(cloud, semantic, nbr, valid)
+        nf = fusion.assemble_neighbors(cloud, semantic, nbr, valid, point_features=cloud.features)
         assert nf.rows.shape == (6, 3, 3 + 2 + 3)
         # ego slot offset is exactly zero
         np.testing.assert_array_equal(nf.rows[:, 0, 5:], 0.0)
@@ -495,7 +496,8 @@ class TestParamsIO:
 
     @pytest.mark.parametrize(
         "case, match",
-        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths"), ("k_zero", "k=0")],
+        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths"), ("k_zero", "k=0"),
+         ("no_widths", "widths"), ("zero_width", "positive")],
     )
     def test_malformed_container(self, tmp_path, case, match):
         head = fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 3, 3)
@@ -507,6 +509,9 @@ class TestParamsIO:
             # widths 5, 7, 3 with every weight and bias present but no aggregation scalar
             "k_zero": fusion.PARAMS_MAGIC + struct.pack("<HII3I", fusion.PARAMS_VERSION, 0, 3, 5, 7, 3)
             + b"\x00" * 8 * (5 * 7 + 7 + 7 * 3 + 3),
+            "no_widths": fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 1, 0) + struct.pack("<d", 1.0),
+            # widths 5, 0, 3: an empty (5, 0) weight, an empty bias, a (0, 3) weight, then 3 biases and 3 scalars
+            "zero_width": head + struct.pack("<3I", 5, 0, 3) + b"\x00" * 8 * 6,
         }[case]
         path = tmp_path / "p.pacw"
         path.write_bytes(raw)
@@ -518,13 +523,112 @@ class TestParamsIO:
         [
             ([(5, 4), (6, 3)], [4, 3], 3, "layer 1 takes width 6 but layer 0 gives 4"),
             ([(5, 4), (4, 3)], [4, 3], 0, "k=0"),
+            ([(5,)], [()], 3, "layer 0 needs a 2-D weight"),
+            ([()], [()], 3, "layer 0 needs a 2-D weight"),
+            ([(2, 3, 4)], [(3, 4)], 3, "layer 0 needs a 2-D weight"),
+            ([], [], 3, "at least one layer"),
+            ([(5, 0), (0, 3)], [0, 3], 3, "widths must be positive"),
+            ([(5, 4)], [(4, 1)], 3, "layer 0 needs a 2-D weight and a 1-D bias"),
+            ([(5, 4)], [(1, 4)], 3, "layer 0 needs a 2-D weight and a 1-D bias"),
+            ([(5, 4)], [4], (), "aggregation weights must be 1-D"),
+            ([(5, 4)], [4], (3, 1), "aggregation weights must be 1-D"),
         ],
-        ids=["unchained", "k_zero"],
+        ids=["unchained", "k_zero", "weight_1d", "weight_0d", "weight_3d", "no_layers", "zero_width", "bias_column",
+             "bias_row", "aggr_0d", "aggr_2d"],
     )
     def test_params_rejected(self, weights, biases, aggr, match):
         with pytest.raises(ValueError, match=match):
             fusion.PacfParams(weights=[np.zeros(s) for s in weights], biases=[np.zeros(b) for b in biases],
                               aggr_weights=np.ones(aggr))
+
+    @pytest.mark.parametrize("array", ["weight", "bias", "aggr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_params_rejected(self, array, value):
+        params = fusion.init_params(fusion.MlpSpec(widths=(5, 4, 3)), k=3, seed=0)
+        arrays = {"weight": params.weights[1], "bias": params.biases[0], "aggr": params.aggr_weights}
+        arrays[array][-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            fusion.PacfParams(weights=params.weights, biases=params.biases, aggr_weights=params.aggr_weights)
+
+
+_ANY_SHAPE = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+@st.composite
+def _param_arrays(draw):
+    """(weights, biases, aggr) with values in [-2, 2]: a well-formed set of 1-3 layers of widths 1-4, or a
+    possibly malformed one of 0-3 layers of widths 0-4, k 0-4, any array of ndim 0-3 and sizes 0-4, and now
+    and then one NaN or inf."""
+    malformed = draw(st.booleans())
+    low = 0 if malformed else 1
+    widths = draw(st.lists(st.integers(low, 4), min_size=1 if malformed else 2, max_size=4))
+
+    def array(good):
+        shape = draw(st.just(good) | _ANY_SHAPE) if malformed else good
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
+
+    weights = [array((a, b)) for a, b in zip(widths[:-1], widths[1:])]
+    biases = [array((b,)) for b in widths[1:]]
+    aggr = array((draw(st.integers(low, 4)),))
+    filled = [a for a in (*weights, *biases, aggr) if a.size]
+    bad = draw(st.sampled_from([None, np.nan, np.inf])) if malformed else None
+    if bad is not None and filled:
+        a = filled[draw(st.integers(0, len(filled) - 1))]
+        a.flat[draw(st.integers(0, a.size - 1))] = bad
+    return weights, biases, aggr
+
+
+class TestParamsProperties:
+    """Every parameter set is rejected with ValueError or round-trips and runs; every mutated PACW file is
+    rejected with FormatError or loads as a valid set."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_param_arrays())
+    @example(case=([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)], np.ones(2)))
+    @example(case=([np.ones((2, 3))], [np.zeros((3, 1))], np.ones(2)))
+    def test_params_rejected_or_usable(self, tmp_path_factory, case):
+        weights, biases, aggr = case
+        try:
+            params = fusion.PacfParams(weights=weights, biases=biases, aggr_weights=aggr)
+        except ValueError:
+            return
+        path = tmp_path_factory.getbasetemp() / "property.pacw"
+        fusion.save_params(params, path)
+        back = fusion.load_params(path)
+        for a, b in zip((*params.weights, *params.biases, params.aggr_weights),
+                        (*back.weights, *back.biases, back.aggr_weights)):
+            assert a.shape == b.shape and same_bits(a, b)
+        _check_forward(params)
+
+    @settings(max_examples=80, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4), k=st.integers(1, 4), data=st.data())
+    def test_mutated_container_rejected_or_valid(self, tmp_path_factory, widths, k, data):
+        path = tmp_path_factory.getbasetemp() / "mutated.pacw"
+        fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=tuple(widths)), k, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        # header bytes are drawn as often as payload bytes
+        where = st.integers(0, 14 + 4 * len(widths) - 1) | st.integers(0, len(raw) - 1)
+        for pos, mask in data.draw(st.lists(st.tuples(where, st.integers(1, 255)), max_size=3)):
+            raw[pos] ^= mask
+        raw = bytes(raw[: data.draw(st.just(len(raw)) | st.integers(0, len(raw)))])
+        path.write_bytes(raw)
+        try:
+            params = fusion.load_params(path)
+        except FormatError:
+            return
+        fusion.save_params(params, path)
+        assert path.read_bytes() == raw
+        assert all(np.isfinite(a).all() for a in (*params.weights, *params.biases, params.aggr_weights))
+
+
+def _check_forward(params):
+    """pacf_forward on rows of width spec.d_i is finite and matches the loop oracle."""
+    rows = np.random.default_rng(0).normal(size=(2, params.k, params.spec.d_i))
+    # pacf_forward reads only the rows; a NeighborFeatures would also need D_i >= 4
+    out, _ = fusion.pacf_forward(SimpleNamespace(rows=rows), params)
+    assert np.isfinite(out.values).all()
+    want = naive_forward(rows, params.weights, params.biases, params.aggr_weights)
+    np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-12)
 
 
 class TestFuseCloud:

@@ -41,6 +41,17 @@ def test_k_zero_rejected():
         knn_brute(np.zeros((1, 3)), (0, 0, 0), k=0)
 
 
+@pytest.mark.parametrize("d", [np.nan, -0.2, -np.inf], ids=["nan", "negative", "minus_inf"])
+def test_bad_radius_rejected(d):
+    pts = np.array([[0, 0, 0], [0.1, 0, 0], [5, 0, 0]], dtype=float)
+    with pytest.raises(ValueError, match="radius"):
+        knn_query(KdTree(pts), (0, 0, 0), 2, d)
+    with pytest.raises(ValueError, match="radius"):
+        knn_brute(pts, (0, 0, 0), 2, d)
+    with pytest.raises(ValueError, match="radius"):
+        knn_table(pts, 2, d)
+
+
 def _uniform(rng):
     pts = rng.uniform([0, -40, -1], [70.4, 40, 3], size=(1000, 3))
     return pts, rng.uniform([0, -40, -1], [70.4, 40, 3], size=(100, 3)), (1, 3, 5, 10), (np.inf, 2.0)

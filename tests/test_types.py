@@ -8,17 +8,17 @@ class TestFusionDims:
     def test_paper_dims(self):
         dims = FusionDims(c_seg=4, c_lidar=128, d_o=64)
         assert dims.d_i == 135
-        assert dims.out_width == 263
+        assert 2 * dims.d_o + dims.d_i == 263
 
     def test_minimal_dims(self):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=1)
         assert dims.d_i == 4
-        assert dims.out_width == 6
+        assert 2 * dims.d_o + dims.d_i == 6
 
     def test_small_dims(self):
         dims = FusionDims(c_seg=2, c_lidar=2, d_o=3)
         assert dims.d_i == 7
-        assert dims.out_width == 13
+        assert 2 * dims.d_o + dims.d_i == 13
 
     @pytest.mark.parametrize(
         "c_seg,c_lidar,d_o,field",
@@ -38,10 +38,13 @@ class TestFusionDims:
             assert dims.d_i - c_seg - c_lidar == 3
 
     def test_out_width_monotone(self):
-        base = FusionDims(2, 2, 2).out_width
-        assert FusionDims(3, 2, 2).out_width > base
-        assert FusionDims(2, 3, 2).out_width > base
-        assert FusionDims(2, 2, 3).out_width > base
+        def out_width(dims):
+            return 2 * dims.d_o + dims.d_i
+
+        base = out_width(FusionDims(2, 2, 2))
+        assert out_width(FusionDims(3, 2, 2)) > base
+        assert out_width(FusionDims(2, 3, 2)) > base
+        assert out_width(FusionDims(2, 2, 3)) > base
 
 
 class TestPointCloud:
