@@ -214,7 +214,7 @@ def cmd_fuse(args) -> int:
     cloud = _prepare_cloud(args, calib, (fmap.height, fmap.width))
     params = None
     if args.mode == "v1":
-        dims = FusionDims(fmap.channels, cloud.c_lidar, args.dout)
+        dims = FusionDims(fmap.channels, cloud.c_lidar, args.dout or 8)
         if args.params:
             params = fusion.load_params(args.params)
         else:
@@ -227,11 +227,13 @@ def cmd_fuse(args) -> int:
             source = f"checkpoint {args.params}" if args.params else "--mlp"
             raise ValueError(f"{source}: {exc} (--k is {args.k}; the frame gives rows of width {dims.d_i}"
                              f" = {fmap.channels} semantic + {cloud.c_lidar} point channels + 3)") from None
-    fused = fusion.fuse_cloud(
-        cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode
-    )
-    out = kitti.FeatureMap(data=fused.features[:, None, :])
-    kitti.write_feature_map(out, args.out)
+    # large map values or weights may overflow; the float32 rows written are checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = fusion.fuse_cloud(cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode)
+        rows = fused.features.astype(np.float32)
+    if not np.isfinite(rows).all():
+        raise ValueError("the PACF operator's output overflows float32, the type of the output container")
+    kitti.write_feature_map(kitti.FeatureMap(data=rows[:, None, :]), args.out)
     print(f"wrote {len(fused.features)} rows of width {fused.features.shape[1]} to {args.out}")
     return EXIT_OK
 
@@ -325,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     operator = p.add_mutually_exclusive_group()
     operator.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
     operator.add_argument("--mlp", type=_mlp_spec, default=None, help="layer widths of the random init")
+    # None, not 8: argparse counts a flag as given only when its value is not the default object
+    operator.add_argument("--dout", type=_positive_int, default=None, help="output width of the default MLP (8)")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
-    p.add_argument("--dout", type=_positive_int, default=8)
     _add_common(p)
     _add_neighbors(p)
     p.set_defaults(func=cmd_fuse)

@@ -346,16 +346,11 @@ def fuse_cloud(
 
 def save_params(params: PacfParams, path) -> None:
     """Write the checkpoint container: magic, dims header, raw f64 LE."""
-    spec = params.spec
-    header = PARAMS_MAGIC + struct.pack(
-        "<HII", PARAMS_VERSION, params.k, len(spec.widths)
-    ) + struct.pack(f"<{len(spec.widths)}I", *spec.widths)
-    chunks = [header]
-    for w, b in zip(params.weights, params.biases):
-        chunks.append(w.astype("<f8").tobytes())
-        chunks.append(b.astype("<f8").tobytes())
-    chunks.append(params.aggr_weights.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    params = PacfParams(params.weights, params.biases, params.aggr_weights)  # checks a set changed since it was built
+    widths = params.spec.widths
+    header = PARAMS_MAGIC + struct.pack(f"<HII{len(widths)}I", PARAMS_VERSION, params.k, len(widths), *widths)
+    arrays = [a.ravel() for layer in zip(params.weights, params.biases) for a in layer] + [params.aggr_weights]
+    Path(path).write_bytes(header + np.concatenate(arrays).astype("<f8").tobytes())
 
 
 def load_params(path) -> PacfParams:
@@ -369,18 +364,13 @@ def load_params(path) -> PacfParams:
     if len(raw) < pos:
         raise FormatError("parameter container: truncated header")
     widths = struct.unpack(f"<{n_widths}I", raw[14:pos])
-    n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:])) + k
-    if len(raw) != pos + 8 * n_values:
+    # the payload, in order: each layer's (fan_in, fan_out) weight and fan_out bias, then k aggregation weights
+    sizes = [n for fan_in, fan_out in zip(widths[:-1], widths[1:]) for n in (fan_in * fan_out, fan_out)] + [k]
+    if len(raw) != pos + 8 * sum(sizes):
         raise FormatError("parameter container: payload size mismatch")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        nbytes = 8 * fan_in * fan_out
-        weights.append(np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(fan_in, fan_out).copy())
-        pos += nbytes
-        biases.append(np.frombuffer(raw[pos : pos + 8 * fan_out], dtype="<f8").copy())
-        pos += 8 * fan_out
-    aggr = np.frombuffer(raw[pos:], dtype="<f8").copy()
+    arrays = np.split(np.frombuffer(raw, dtype="<f8", offset=pos).copy(), np.cumsum(sizes)[:-1])
+    weights = [w.reshape(fan_in, fan_out) for w, fan_in, fan_out in zip(arrays[:-1:2], widths, widths[1:])]
     try:
-        return PacfParams(weights=weights, biases=biases, aggr_weights=aggr)
+        return PacfParams(weights=weights, biases=arrays[1::2], aggr_weights=arrays[-1])
     except ValueError as exc:
         raise FormatError(f"parameter container: {exc}") from None

@@ -58,7 +58,7 @@ def project_points(cloud: PointCloud, calib: CalibrationSet, image_size: tuple[i
     cam = lidar_to_camera(cloud.xyz, calib)
     hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
     w = hom[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.where(w != 0, hom[:, 0] / w, np.inf)
         v = np.where(w != 0, hom[:, 1] / w, np.inf)
     valid = (w > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)

@@ -6,7 +6,8 @@ neighbors ordered by squared distance ascending, ties broken by lower
 point index, under-filled neighborhoods padded by cycling the found
 neighbors so the result always has exactly k slots, and, when the radius
 d excludes every point, the overall nearest point in all k slots. The
-radius is a float >= 0, inf for none; a NaN or negative d is a ValueError.
+radius is a float >= 0, inf for none; a NaN or negative d, a target with
+a NaN or infinite coordinate, or k < 1 is a ValueError.
 
 The tree is implicit in a permutation of the points. A node is a span
 [lo, hi) of it, split on axis depth % 3 at mid = (lo + hi) // 2, or a
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -113,15 +115,17 @@ def _search(tree: KdTree, target: list, k: int, d2max: float) -> list:
 
 def knn_query(tree: KdTree, target, k: int, d: float = np.inf) -> NeighborSet:
     """k nearest indexed points to target within radius d, under the contract above."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     target = np.asarray(target, dtype=np.float64).reshape(3).tolist()
-    found = _search(tree, target, k, _squared_radius(d)) or _search(tree, target, 1, np.inf)
+    found = _search(tree, target, k, _check_query(target, k, d)) or _search(tree, target, 1, np.inf)
     return _finalize(found, k)
 
 
-def _squared_radius(d: float) -> float:
-    """d * d for a radius d >= 0, inf allowed; a NaN or negative d is a ValueError."""
+def _check_query(target: list, k: int, d: float) -> float:
+    """d * d, once k >= 1, the three target floats are finite and d >= 0 (inf allowed); else ValueError."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not all(map(isfinite, target)):
+        raise ValueError(f"the target must be finite, got {target}")
     d = float(d)
     if not d >= 0:
         raise ValueError(f"radius d must be >= 0, got {d}")
@@ -137,13 +141,11 @@ def knn_table(points, k: int, d: float = np.inf) -> np.ndarray:
 
 def knn_brute(points, target, k: int, d: float = np.inf) -> NeighborSet:
     """Exhaustive-scan oracle with the same contract as knn_query."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d2max = _squared_radius(d)
+    target = np.asarray(target, dtype=np.float64).reshape(3)
+    d2max = _check_query(target.tolist(), k, d)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         raise ValueError("cannot search zero points")
-    target = np.asarray(target, dtype=np.float64).reshape(3)
     d2s = np.sum((points - target) ** 2, axis=1)
     order = np.lexsort((np.arange(len(points)), d2s))
     within = order[d2s[order] <= d2max]

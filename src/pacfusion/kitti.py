@@ -16,12 +16,13 @@ Supported formats
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .types import Box3D, FeatureMap, PointCloud
+from .types import _MAX_ABS, Box3D, FeatureMap, PointCloud
 
 
 class FormatError(ValueError):
@@ -41,25 +42,26 @@ class CalibrationSet:
 
     P2 is the left color camera projection (3x4), R0_rect the rectification
     rotation (3x3), Tr_velo_to_cam the LIDAR-to-camera rigid transform (3x4).
+    Raises FormatError unless every entry is finite and within +-1e6 and both rotations are orthonormal.
     """
 
     def __init__(self, P2: np.ndarray, R0_rect: np.ndarray, Tr_velo_to_cam: np.ndarray):
         self.P2 = np.asarray(P2, dtype=np.float64).reshape(3, 4)
         self.R0_rect = np.asarray(R0_rect, dtype=np.float64).reshape(3, 3)
         self.Tr_velo_to_cam = np.asarray(Tr_velo_to_cam, dtype=np.float64).reshape(3, 4)
-        for name, rot in (
-            ("R0_rect", self.R0_rect),
-            ("Tr_velo_to_cam", self.Tr_velo_to_cam[:, :3]),
-        ):
+        for name in ("P2", "R0_rect", "Tr_velo_to_cam"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FormatError(f"{name}: non-finite value")
+            if np.abs(getattr(self, name)).max() > _MAX_ABS:
+                raise FormatError(f"{name}: a value beyond +-{_MAX_ABS:g}")
+        for name, rot in (("R0_rect", self.R0_rect), ("Tr_velo_to_cam", self.Tr_velo_to_cam[:, :3])):
             err = np.abs(rot @ rot.T - np.eye(3)).max()
-            if not err <= _ORTHO_TOL:  # NaN fails too
+            if err > _ORTHO_TOL:
                 raise FormatError(f"{name} rotation not orthonormal (max deviation {err:.2e})")
 
     @classmethod
     def identity(cls) -> "CalibrationSet":
-        P2 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        Tr = np.hstack([np.eye(3), np.zeros((3, 1))])
-        return cls(P2, np.eye(3), Tr)
+        return cls(np.eye(3, 4), np.eye(3), np.eye(3, 4))
 
 
 def read_velodyne(path) -> PointCloud:
@@ -74,10 +76,11 @@ def decode_velodyne(raw: bytes) -> PointCloud:
         raise FormatError(
             f"velodyne payload truncated: {len(raw)} bytes, trailing record at offset {offset}"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    finite = np.isfinite(data)
+    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    finite = np.isfinite(data)  # before widening: widening a signalling NaN raises the invalid flag
     if not finite.all():  # one flat pass; the per-record reduction is ~10x slower
         raise FormatError(f"non-finite velodyne record at index {np.nonzero(~finite.all(axis=1))[0][0]}")
+    data = data.astype(np.float64)
     reflectance = data[:, 3]
     if len(data) and (reflectance.min() < 0.0 or reflectance.max() > 1.0):
         raise FormatError("velodyne payload: reflectance values must lie in [0, 1]")
@@ -99,6 +102,14 @@ def write_velodyne(cloud: PointCloud, path) -> None:
 _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
 
 
+def _read_text(path) -> str:
+    """The file's text, decoded as UTF-8; a byte that does not decode is a FormatError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text, byte {exc.start}: {exc.reason}") from None
+
+
 def read_calib(path) -> CalibrationSet:
     """Parse a KITTI calibration text file.
 
@@ -106,7 +117,7 @@ def read_calib(path) -> CalibrationSet:
     raise FormatError naming the key.
     """
     values: dict[str, np.ndarray] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         if ":" not in line:
             continue
         key, _, rest = line.partition(":")
@@ -122,22 +133,16 @@ def read_calib(path) -> CalibrationSet:
             values[key] = np.array([float(v) for v in fields])
         except ValueError as exc:
             raise FormatError(f"calibration key {key}: {exc}") from None
-        if not np.all(np.isfinite(values[key])):
-            raise FormatError(f"calibration key {key}: non-finite value")
     for key in _CALIB_KEYS:
         if key not in values:
             raise FormatError(f"calibration file missing key {key}")
-    return CalibrationSet(
-        P2=values["P2"].reshape(3, 4),
-        R0_rect=values["R0_rect"].reshape(3, 3),
-        Tr_velo_to_cam=values["Tr_velo_to_cam"].reshape(3, 4),
-    )
+    return CalibrationSet(**values)
 
 
 def read_labels(path) -> list[Box3D]:
     """Parse a KITTI label file; DontCare entries retained but flagged."""
     boxes = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()
@@ -145,12 +150,8 @@ def read_labels(path) -> list[Box3D]:
             raise FormatError(f"label line {lineno}: expected >= 15 fields, got {len(fields)}")
         kind = fields[0]
         try:
-            h, w, l = (float(v) for v in fields[8:11])
-            x, y, z = (float(v) for v in fields[11:14])
-            ry = float(fields[14])
-            boxes.append(
-                Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=ry, label=kind, dontcare=kind == "DontCare")
-            )
+            h, w, l, x, y, z, ry = map(float, fields[8:15])
+            boxes.append(Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=ry, label=kind, dontcare=kind == "DontCare"))
         except ValueError as exc:
             raise FormatError(f"label line {lineno}: {exc}") from exc
     return boxes
@@ -178,41 +179,37 @@ def read_feature_map(path) -> FeatureMap:
         raise FormatError(
             f"feature-map container: payload is {len(raw) - 18} bytes, expected {expected}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=18).reshape(h, w, c)
-    try:
-        return FeatureMap(data=data)
+    try:  # a zero size next to a huge one passes the size check but not the reshape
+        return FeatureMap(data=np.frombuffer(raw, dtype="<f4", offset=18).reshape(h, w, c))
     except ValueError as exc:
         raise FormatError(f"feature-map container: {exc}") from None
+
+
+# the magic token, then width, height and maxval, each after whitespace and comments, then one
+# whitespace byte; a comment must reach a newline or the end, so no token can backtrack into one
+_PGM_SPACE = rb"(?:\s|#[^\n]*(?=\n|\Z))*"
+_PGM_HEADER = re.compile(_PGM_SPACE + rb"(\S*)(?:" + 3 * (_PGM_SPACE + rb"(\d+)(?!\S)") + rb"\s?)?")
 
 
 def read_pgm_mask(path) -> FeatureMap:
     """Read a binary PGM (P5, maxval 255) as a single-channel map in [0, 1]."""
     raw = Path(path).read_bytes()
-    tokens, pos = [], 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    if tokens[0] != b"P5":
+    header = _PGM_HEADER.match(raw)
+    if header[1] != b"P5":
         raise FormatError("PGM mask: expected binary P5 header")
-    width, height, maxval = (int(t) if t.isdigit() else -1 for t in tokens[1:])
-    if min(width, height, maxval) < 0:
+    if header[2] is None:
         raise FormatError("PGM mask: malformed or truncated header")
+    try:
+        width, height, maxval = map(int, header.group(2, 3, 4))
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        raise FormatError("PGM mask: header number has too many digits") from None
     if maxval != 255:
         raise FormatError(f"PGM mask: expected maxval 255, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    payload = raw[pos : pos + width * height]
+    payload = raw[header.end() : header.end() + width * height]
     if len(payload) != width * height:
         raise FormatError("PGM mask: truncated payload")
-    grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     try:
+        grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
         return FeatureMap(data=(grid / 255.0)[:, :, None])
     except ValueError as exc:
         raise FormatError(f"PGM mask: {exc}") from None

@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# bound on |box field| and |calibration entry| (meters, radians, pixels): far past any real scene, and
+# small enough that projecting float32 points and box corners through them cannot overflow float64
+_MAX_ABS = 1e6
+
 
 @dataclass(frozen=True)
 class FusionDims:
@@ -132,8 +136,8 @@ class Box3D:
     dontcare: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite([self.x, self.y, self.z, self.h, self.w, self.l, self.ry])):
-            raise ValueError("box fields must be finite")
+        if not np.all(np.abs([self.x, self.y, self.z, self.h, self.w, self.l, self.ry]) <= _MAX_ABS):  # NaN fails
+            raise ValueError(f"box fields must be finite and within +-{_MAX_ABS:g}")
         if not self.dontcare:
             if self.h <= 0 or self.w <= 0 or self.l <= 0:
                 raise ValueError(f"box dimensions must be positive: h={self.h} w={self.w} l={self.l}")

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -252,9 +253,9 @@ def test_fuse_malformed_checkpoint_exit_code(synthetic_frame, capsys, widths, me
 def test_fuse_checkpoint_k_zero_is_format_error(synthetic_frame, capsys):
     f = synthetic_frame
     ckpt = f["dir"] / "params.pacw"
-    params = fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5)
-    params.aggr_weights = np.zeros(0)
-    fusion.save_params(params, ckpt)
+    # widths 4, 6, 3 and k=0: 4*6 + 6 + 6*3 + 3 payload values, no aggregation weight
+    head = fusion.PARAMS_MAGIC + struct.pack("<HII3I", fusion.PARAMS_VERSION, 0, 3, 4, 6, 3)
+    ckpt.write_bytes(head + b"\x00" * 8 * 51)
     code, out = run(
         [
             "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
@@ -286,10 +287,16 @@ NAN_CALIB = (
         ("featuremap_path", b"P5\n0 0\n255\n"),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 0, 5, 4)),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 5, 0, 4)),
+        ("calib_path", NAN_CALIB.replace(b"nan", b"1") + b"calib_time: \xff\n"),
+        ("featuremap_path", b"P5\n" + b"1" * 4301 + b" 1\n255\n\x00"),
+        ("calib_path", NAN_CALIB.replace(b"Tr_velo_to_cam: 0 -1 0 0", b"Tr_velo_to_cam: 0 -1 0 1e308")),
+        ("featuremap_path", b"P5 0 99999999999999999999 255\n"),
+        ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 0, 2**31, 2**31)),
     ],
     ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels",
          "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0", "pgm_zero_size", "pacf_zero_height",
-         "pacf_zero_width"],
+         "pacf_zero_width", "calib_not_utf8", "pgm_long_number", "calib_huge_translation", "pgm_zero_by_huge",
+         "pacf_zero_by_huge"],
 )
 def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, contents):
     f = synthetic_frame
@@ -349,13 +356,15 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--mlp", "4,6,3"], "--mlp"),
+        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4,8,5", "--dout", 3], "--dout"),
+        (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--dout", 8], "--dout"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
          "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
-         "mlp_with_params", "bev_roi_thin", "bev_roi_infinite"],
+         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_infinite"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -441,6 +450,56 @@ def test_maskgen_bad_box_exit_code(synthetic_frame, capsys, box):
     code, out = run(_maskgen_argv(f, labels, "bad"), capsys)
     assert code == cli.EXIT_FORMAT
     assert out.err.startswith("format error: label line 1:")
+
+
+def test_maskgen_huge_dontcare_exit_code(synthetic_frame, capsys):
+    """A DontCare box 1e300 m wide is out of range; its image extent would be NaN."""
+    f = synthetic_frame
+    labels = f["dir"] / "huge_labels.txt"
+    labels.write_text("DontCare -1 -1 -10 0 0 20 20 1.6 1e300 3.9 -1.0 1.0 15.0 0.3\n")
+    code, out = run(_maskgen_argv(f, labels, "huge"), capsys)
+    assert code == cli.EXIT_FORMAT
+    assert out.err.startswith("format error: label line 1: box fields must be finite and within +-1e+06")
+
+
+def test_maskgen_non_utf8_labels_exit_code(synthetic_frame, capsys):
+    f = synthetic_frame
+    labels = f["dir"] / "latin1_labels.txt"
+    labels.write_bytes(f["labels_path"].read_bytes() + b"# \xe9\n")
+    code, out = run(_maskgen_argv(f, labels, "latin1"), capsys)
+    assert code == cli.EXIT_FORMAT
+    assert out.err.startswith(f"format error: {labels}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "featuremap"])
+def test_fuse_output_overflow_exit_code(synthetic_frame, capsys, source):
+    """Weights or map values that overflow the float32 output are a usage error naming the operator, not a warning."""
+    f = synthetic_frame
+    argv = PREPARE_ARGV["fuse"](f) + ["--n-sample", 64]
+    if source == "checkpoint":
+        params = fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5)
+        params.weights[0][:] = 1e300
+        fusion.save_params(params, f["dir"] / "huge.pacw")
+        argv += ["--params", f["dir"] / "huge.pacw"]
+    else:
+        kitti.write_feature_map(kitti.FeatureMap(data=np.full((64, 192, 1), 3e38, dtype=np.float32)),
+                                f["featuremap_path"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert "error: the PACF operator's output overflows float32" in out.err
+    assert not (f["dir"] / "o.pacf").exists()
+
+
+def test_fuse_dout_defaults_to_8(synthetic_frame, capsys):
+    f = synthetic_frame
+    outputs = []
+    for extra in ([], ["--dout", 8]):
+        code, out = run(PREPARE_ARGV["fuse"](f) + ["--n-sample", 64] + extra, capsys)
+        assert code == cli.EXIT_OK and "rows of width 20 " in out.out  # 2 * 8 + 1 semantic + 0 point channels + 3
+        outputs.append((f["dir"] / "o.pacf").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _maskgen_argv(f, labels_path, tag):

@@ -541,6 +541,21 @@ class TestParamsIO:
             fusion.PacfParams(weights=[np.zeros(s) for s in weights], biases=[np.zeros(b) for b in biases],
                               aggr_weights=np.ones(aggr))
 
+    @pytest.mark.parametrize(
+        "breaks, match",
+        [(lambda p: setattr(p, "aggr_weights", np.zeros(0)), "k=0"),
+         (lambda p: p.weights.__setitem__(0, np.zeros(5)), "layer 0 needs a 2-D weight"),
+         (lambda p: p.biases[1].__setitem__(0, np.nan), "finite")],
+        ids=["k_zero", "weight_1d", "nan_bias"],
+    )
+    def test_save_rechecks_params_changed_after_construction(self, tmp_path, breaks, match):
+        params = fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5)
+        breaks(params)
+        path = tmp_path / "p.pacw"
+        with pytest.raises(ValueError, match=match):
+            fusion.save_params(params, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("array", ["weight", "bias", "aggr"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_params_rejected(self, array, value):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ class TestProjection:
             assert px.u[i] == pytest.approx(u, abs=1e-9)
             assert px.v[i] == pytest.approx(v, abs=1e-9)
             assert px.depth[i] == pytest.approx(x, abs=1e-9)
+
+    def test_overflowing_pixel_is_invalid(self):
+        # w = 1e-300 * depth while u's numerator is 1e6 * 1000: the quotient overflows float64
+        P2 = np.array([[1e6, 0, 0, 0], [0, 1e6, 0, 0], [0, 0, 1e-300, 0]])
+        calib = kitti.CalibrationSet(P2=P2, R0_rect=np.eye(3), Tr_velo_to_cam=np.eye(3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            px = geometry.project_points(_cloud([[1000, 0, 1], [0, 0, 1]]), calib, (10, 10))
+        assert px.u[0] == np.inf and not px.valid[0]
+        assert px.u[1] == 0 and px.valid[1]
 
     def test_index_alignment(self, rng):
         calib = make_calib()

@@ -52,6 +52,17 @@ def test_bad_radius_rejected(d):
         knn_table(pts, 2, d)
 
 
+@pytest.mark.parametrize("target", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)], ids=["nan", "inf", "minus_inf"])
+def test_nonfinite_target_rejected(target):
+    pts = np.array([[0, 0, 0], [0.1, 0, 0], [5, 0, 0]], dtype=float)
+    with pytest.raises(ValueError, match="target must be finite"):
+        knn_query(KdTree(pts), target, 2)
+    with pytest.raises(ValueError, match="target must be finite"):
+        knn_brute(pts, target, 2)
+    with pytest.raises(ValueError, match="target must be finite"):
+        knn_table(np.vstack([pts, target]), 2)
+
+
 def _uniform(rng):
     pts = rng.uniform([0, -40, -1], [70.4, 40, 3], size=(1000, 3))
     return pts, rng.uniform([0, -40, -1], [70.4, 40, 3], size=(100, 3)), (1, 3, 5, 10), (np.inf, 2.0)

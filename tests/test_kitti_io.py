@@ -1,4 +1,6 @@
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ class TestVelodyne:
         raw = struct.pack("<4f", 1, 2, 3, 0.5) + struct.pack("<4f", np.nan, 0, 0, 0)
         with pytest.raises(kitti.FormatError, match="index 1"):
             kitti.decode_velodyne(raw)
+
+    def test_signalling_nan_record_index(self):
+        raw = struct.pack("<4f", 1, 2, 3, 0.5) + b"\x01\x00\x80\x7f" + struct.pack("<3f", 5, 6, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kitti.FormatError, match="non-finite velodyne record at index 1"):
+                kitti.decode_velodyne(raw)
 
     def test_reflectance_out_of_range(self):
         raw = struct.pack("<4f", 1, 2, 3, 0.5) + struct.pack("<4f", 4, 5, 6, -0.25)
@@ -113,6 +122,24 @@ class TestCalib:
         with pytest.raises(kitti.FormatError, match=f"{key}: non-finite"):
             kitti.read_calib(path)
 
+    @pytest.mark.parametrize("name", ["P2", "R0_rect", "Tr_velo_to_cam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_api_non_finite_names_matrix(self, name, value):
+        mats = {"P2": np.eye(3, 4), "R0_rect": np.eye(3), "Tr_velo_to_cam": np.eye(3, 4)}
+        kitti.CalibrationSet(**mats)
+        mats[name][2, 2] = value
+        with pytest.raises(kitti.FormatError, match=f"^{name}: non-finite value$"):
+            kitti.CalibrationSet(**mats)
+
+    @pytest.mark.parametrize("name, index", [("P2", (0, 0)), ("P2", (2, 3)), ("Tr_velo_to_cam", (0, 3))])
+    def test_out_of_range_names_matrix(self, name, index):
+        mats = {"P2": np.eye(3, 4), "R0_rect": np.eye(3), "Tr_velo_to_cam": np.eye(3, 4)}
+        mats[name][index] = -1e6
+        kitti.CalibrationSet(**mats)
+        mats[name][index] = -1e300
+        with pytest.raises(kitti.FormatError, match=re.escape(f"{name}: a value beyond +-1e+06")):
+            kitti.CalibrationSet(**mats)
+
     def test_nan_rotation_not_orthonormal(self):
         r0 = np.eye(3)
         r0[0, 0] = np.nan
@@ -167,6 +194,24 @@ class TestLabels:
             kitti.read_labels(path)
 
 
+CALIB_UTF8 = "P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\nTr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n"
+LABEL_LINE = "0.00 0 -1.58 587 173 614 200 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [(kitti.read_calib, CALIB_UTF8 + "calib_time: 09-jan-2012 café\n"), (kitti.read_labels, "Café " + LABEL_LINE)],
+    ids=["calib", "labels"],
+)
+def test_text_must_be_utf8(tmp_path, reader, text):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    reader(path)
+    path.write_bytes(text.encode("latin-1"))  # the e-acute becomes the lone byte 0xe9
+    with pytest.raises(kitti.FormatError, match=re.escape(f"{path}: not UTF-8 text, byte {text.index('é')}:")):
+        reader(path)
+
+
 class TestFeatureMapContainer:
     def test_roundtrip_2x2(self, tmp_path):
         m = FeatureMap(data=np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
@@ -205,6 +250,13 @@ class TestFeatureMapContainer:
         with pytest.raises(kitti.FormatError, match="payload"):
             kitti.read_feature_map(path)
 
+    @pytest.mark.parametrize("dims", [(0, 2**31, 2**31), (2**32 - 1, 0, 2**32 - 1)], ids=["zero_height", "zero_width"])
+    def test_zero_by_huge_size_is_format_error(self, tmp_path, dims):
+        path = tmp_path / "m.pacf"
+        path.write_bytes(kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, *dims))
+        with pytest.raises(kitti.FormatError, match="^feature-map container: "):
+            kitti.read_feature_map(path)
+
     def test_roundtrip_random_dims(self, tmp_path, rng):
         for i in range(20):
             h, w, c = (int(rng.integers(1, 65)) for _ in range(3))
@@ -223,6 +275,52 @@ class TestPgm:
         kitti.write_pgm(grid, path)
         m = kitti.read_pgm_mask(path)
         np.testing.assert_allclose(m.data[:, :, 0], grid / 255.0)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"# hand-made\nP5 2 1 255\n", b"P5\r2\x0b1\x0c255\t", b"P5 #a\n#b\n2 1 #c\n255\n", b"P5 02 1 0255\n",
+         b"P5\n2 1\n255\r"],
+        ids=["comment_before_magic", "cr_vt_ff_tab", "comments_between", "leading_zeros", "cr_ends_header"],
+    )
+    def test_header_accepted(self, tmp_path, header):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(header + b"\x00\xff")
+        np.testing.assert_array_equal(kitti.read_pgm_mask(path).data, [[[0.0], [1.0]]])
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [(b"P5 2 1 #c", "malformed or truncated header"),  # a comment that runs to the end hides maxval
+         (b"P5 2 #1 255\n", "malformed or truncated header"),
+         (b"P5 2# 1 255\n", "malformed or truncated header"),  # '#' inside a token is no comment
+         (b"P5 2#c\n1 255\n\0\0", "malformed or truncated header"),
+         (b"P5 2 1 255#\n\0\0", "malformed or truncated header"),
+         (b"P5 +2 1 255\n\0\0", "malformed or truncated header"),
+         (b"P5 2 -1 255\n", "malformed or truncated header"),
+         (b"P5 2 1", "malformed or truncated header"),
+         (b"P5x 2 1 255\n\0\0", "expected binary P5 header"),
+         (b"#P5 2 1 255\n\0\0", "expected binary P5 header"),
+         (b"", "expected binary P5 header"),
+         (b"P5 2 1 256\n\0\0", "expected maxval 255, got 256"),
+         (b"P5 2 1 255", "truncated payload"),
+         (b"P5 2 1 255\n\0", "truncated payload"),
+         (b"P5 " + b"1" * 4301 + b" 1 255\n", "header number has too many digits")],
+        ids=["comment_to_end", "comment_eats_numbers", "hash_in_token", "hash_after_width", "hash_after_maxval",
+             "plus_sign", "minus_sign", "no_maxval", "magic_token", "magic_in_comment", "empty", "maxval_256",
+             "no_payload", "short_payload", "long_number"],
+    )
+    def test_header_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(kitti.FormatError, match=f"^PGM mask: {message}$"):
+            kitti.read_pgm_mask(path)
+
+    @pytest.mark.parametrize("size", [b"0 99999999999999999999", b"99999999999999999999 0"],
+                             ids=["zero_width", "zero_height"])
+    def test_zero_by_huge_size_is_format_error(self, tmp_path, size):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(b"P5 " + size + b" 255\n")
+        with pytest.raises(kitti.FormatError, match="^PGM mask: "):
+            kitti.read_pgm_mask(path)
 
     def test_rejects_ascii_pgm(self, tmp_path):
         path = tmp_path / "mask.pgm"

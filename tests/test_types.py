@@ -126,3 +126,14 @@ class TestBox3D:
         fields[field] = bad
         with pytest.raises(ValueError, match="finite"):
             Box3D(**fields, dontcare=dontcare)
+
+    @pytest.mark.parametrize("dontcare", [False, True], ids=["car", "dontcare"])
+    @pytest.mark.parametrize("field", ["x", "y", "z", "h", "w", "l"])
+    def test_out_of_range_rejected(self, field, dontcare):
+        fields = dict(x=0.0, y=0.0, z=5.0, h=1.0, w=1.0, l=1.0, ry=0.0)
+        Box3D(**{**fields, field: 1e6}, dontcare=dontcare)
+        with pytest.raises(ValueError, match=r"within \+-1e\+06"):
+            Box3D(**{**fields, field: 1.000001e6}, dontcare=dontcare)
+        if field not in "hwl":
+            with pytest.raises(ValueError, match=r"within \+-1e\+06"):
+                Box3D(**{**fields, field: -1e300}, dontcare=dontcare)
