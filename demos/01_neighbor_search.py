@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Nearest-neighbor search over a synthetic LIDAR scene.
 
-Builds a k-d tree over random points in the default region of concern,
-queries a few targets, and cross-checks against the brute-force scan.
+Indexes random points in the default region of concern with `KdTree`
+(a batched grid search under the historical name), queries a few targets,
+and cross-checks against the brute-force scan.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ assert res.indices[0] == 42 and res.distances[0] == 0.0  # ego point comes first
 res_tight = knn_query(tree, target, k=3, d=0.05)
 print("with d=0.05 m:", res_tight.indices, "(under-filled slots repeat)")
 
-# the tree agrees with the exhaustive oracle everywhere
+# the index agrees with the exhaustive oracle everywhere
 for t in rng.uniform([0, -40, -1], [70.4, 40, 3], size=(50, 3)):
     a = knn_query(tree, t, k=5)
     b = knn_brute(points, t, k=5)

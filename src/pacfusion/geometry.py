@@ -48,17 +48,18 @@ class RegionOfInterest:
 def lidar_to_camera(xyz: np.ndarray, calib: CalibrationSet) -> np.ndarray:
     """Map (N, 3) LIDAR points into the rectified camera frame."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    cam = xyz @ calib.Tr_velo_to_cam[:, :3].T + calib.Tr_velo_to_cam[:, 3]
-    return cam @ calib.R0_rect.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a point too far out for float64 becomes inf or NaN
+        cam = xyz @ calib.Tr_velo_to_cam[:, :3].T + calib.Tr_velo_to_cam[:, 3]
+        return cam @ calib.R0_rect.T
 
 
 def project_points(cloud: PointCloud, calib: CalibrationSet, image_size: tuple[int, int]) -> PixelCoords:
     """Project every point onto the image plane; image_size is (H, W)."""
     height, width = image_size
     cam = lidar_to_camera(cloud.xyz, calib)
-    hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
-    w = hom[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an overflow gives inf or NaN: invalid
+        hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
+        w = hom[:, 2]
         u = np.where(w != 0, hom[:, 0] / w, np.inf)
         v = np.where(w != 0, hom[:, 1] / w, np.inf)
     valid = (w > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)
@@ -117,9 +118,10 @@ def points_in_box(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
     p = np.asarray(points_cam, dtype=np.float64).reshape(-1, 3)
     dx, dz = p[:, 0] - box.x, p[:, 2] - box.z
     c, s = np.cos(box.ry), np.sin(box.ry)
-    # rotate into the box frame (inverse of the yaw rotation)
-    lx = c * dx - s * dz
-    lz = s * dx + c * dz
+    # rotate into the box frame (inverse of the yaw rotation); a point too far out for float64 lands in no box
+    with np.errstate(over="ignore", invalid="ignore"):
+        lx = c * dx - s * dz
+        lz = s * dx + c * dz
     return (
         (np.abs(lx) <= box.l / 2)
         & (np.abs(lz) <= box.w / 2)

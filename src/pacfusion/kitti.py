@@ -185,10 +185,10 @@ def read_feature_map(path) -> FeatureMap:
         raise FormatError(f"feature-map container: {exc}") from None
 
 
-# the magic token, then width, height and maxval, each after whitespace and comments, then one
-# whitespace byte; a comment must reach a newline or the end, so no token can backtrack into one
+# the magic token at byte 0, then width, height and maxval, each after whitespace and comments, then
+# one whitespace byte; a comment must reach a newline or the end, so no token can backtrack into one
 _PGM_SPACE = rb"(?:\s|#[^\n]*(?=\n|\Z))*"
-_PGM_HEADER = re.compile(_PGM_SPACE + rb"(\S*)(?:" + 3 * (_PGM_SPACE + rb"(\d+)(?!\S)") + rb"\s?)?")
+_PGM_HEADER = re.compile(rb"(\S*)(?:" + 3 * (_PGM_SPACE + rb"(\d+)(?!\S)") + rb"\s?)?")
 
 
 def read_pgm_mask(path) -> FeatureMap:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pacfusion import geometry, kitti
+from pacfusion import geometry, kitti, losses
 from pacfusion.types import Box3D, PointCloud
 
 from conftest import make_calib
@@ -58,6 +58,24 @@ class TestProjection:
             px = geometry.project_points(_cloud([[1000, 0, 1], [0, 0, 1]]), calib, (10, 10))
         assert px.u[0] == np.inf and not px.valid[0]
         assert px.u[1] == 0 and px.valid[1]
+
+    def test_far_library_cloud_is_invalid_without_warnings(self):
+        # a yawed LIDAR-to-camera rotation sums coordinates near 1.7e308 past float64, and P2's focal length
+        # overflows a point at 1e307: each such point must come out invalid and outside every box, silently
+        c, s = np.cos(0.5), np.sin(0.5)
+        yaw = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ np.array([[0, -1, 0], [0, 0, -1], [1, 0, 0]])
+        P2 = np.array([[721.5, 0, 609.6, 44.9], [0, 721.5, 172.9, 0.2], [0, 0, 1, 0.003]])
+        calib = kitti.CalibrationSet(P2=P2, R0_rect=np.eye(3), Tr_velo_to_cam=np.hstack([yaw, [[0], [0], [-0.27]]]))
+        cloud = _cloud([[1e307, 0, 0], [1.7e308, 1.7e308, -1.7e308], [-1.7e308, 1.7e308, 1e307], [10, 0, 0]])
+        box = Box3D(x=0, y=1.0, z=9.7, h=2, w=2, l=4, ry=0.3, label="Car")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cam = geometry.lidar_to_camera(cloud.xyz, calib)
+            px = geometry.project_points(cloud, calib, (375, 1242))
+            fg = losses.label_points(cloud, [box], calib)
+        assert not np.isfinite(cam[1]).all()
+        np.testing.assert_array_equal(px.valid, [False, False, False, True])
+        np.testing.assert_array_equal(fg, [False, False, False, True])
 
     def test_index_alignment(self, rng):
         calib = make_calib()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,15 +92,7 @@ def _radius_excludes_all(rng):
     return pts, rng.uniform(-6, 6, size=(30, 3)), (1, 3), (1e-6,)
 
 
-@pytest.mark.parametrize("leaf", [1, 2, 16], ids=lambda leaf: f"leaf{leaf}")
-@pytest.mark.parametrize(
-    "make", [_uniform, _lattice, _duplicated, _k_above_n, _radius_excludes_all],
-    ids=["uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all"],
-)
-def test_oracle_equivalence(rng, monkeypatch, make, leaf):
-    # smaller leaves make deeper trees, so more ties and pruning decisions fall on split planes
-    monkeypatch.setattr(kdtree, "_LEAF", leaf)
-    pts, targets, ks, ds = make(rng)
+def _assert_queries_match_brute(pts, targets, ks, ds):
     tree = KdTree(pts)
     for k in ks:
         for d in ds:
@@ -107,6 +101,36 @@ def test_oracle_equivalence(rng, monkeypatch, make, leaf):
                 want = knn_brute(pts, t, k, d)
                 assert np.array_equal(got.indices, want.indices), (k, d, t)
                 assert np.array_equal(got.distances, want.distances), (k, d, t)
+
+
+_CASES = pytest.mark.parametrize(
+    "make", [_uniform, _lattice, _duplicated, _k_above_n, _radius_excludes_all],
+    ids=["uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all"],
+)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 16], ids=lambda leaf: f"leaf{leaf}")
+@_CASES
+def test_oracle_equivalence(rng, monkeypatch, make, leaf):
+    # the Morton window plays the part of the first leaf a tree search scans: its k-th d² bounds the radius.
+    # Smaller windows give looser bounds, so more candidates fall on cell edges and on ties at the bound
+    monkeypatch.setattr(kdtree, "_WINDOW", leaf)
+    pts, targets, ks, ds = make(rng)
+    _assert_queries_match_brute(pts, np.vstack([pts[:: max(1, len(pts) // 25)], targets]), ks, ds)
+
+
+@pytest.mark.parametrize("order", ["own_points_first", "off_cloud_first", "interleaved"])
+@_CASES
+def test_query_order_equivalence(rng, make, order):
+    # own points are answered from the tree's table, other targets by one-row searches; the order decides
+    # whether a table is built before, after or between the one-row searches that build the grids
+    pts, targets, ks, ds = make(rng)
+    targets = np.vstack([pts[:: max(1, len(pts) // 25)], targets])
+    cloud = set(map(tuple, pts.tolist()))
+    own = np.array([tuple(t) in cloud for t in targets.tolist()])
+    rank = {"own_points_first": ~own, "off_cloud_first": own,
+            "interleaved": np.where(own, np.cumsum(own), np.cumsum(~own))}[order]
+    _assert_queries_match_brute(pts, targets[np.argsort(rank, kind="stable")], ks, ds)
 
 
 @st.composite
@@ -147,6 +171,83 @@ def test_self_query_table_matches_brute(rng):
     want = [knn_brute(pts, p, 3) for p in pts]
     np.testing.assert_array_equal([g.indices for g in got], [w.indices for w in want])
     np.testing.assert_array_equal([g.distances for g in got], [w.distances for w in want])
+
+
+def _clustered(rng):
+    """Dense Gaussian blobs of three widths in a sparse background, so neighbor radii span many cell sizes."""
+    centres = rng.uniform([5, -30, -1], [65, 30, 3], size=(6, 3))
+    blobs = [c + rng.normal(scale=s, size=(150, 3)) for c, s in zip(centres, (0.005, 0.005, 0.05, 0.05, 0.5, 0.5))]
+    return np.vstack(blobs + [rng.uniform([0, -40, -1], [70.4, 40, 3], size=(300, 3))])
+
+
+def test_clustered_self_table_matches_brute(rng):
+    pts = _clustered(rng)
+    kth = np.array([knn_brute(pts, p, 3).distances[-1] for p in pts])
+    assert len(np.unique(np.frexp(kth)[1])) >= 4  # the k-th distances fall in at least four power-of-two cells
+    tree = KdTree(pts)
+    for k in (1, 3, 5):
+        for d in (0.0, 0.5, np.inf):
+            table = knn_table(pts, k, d)
+            for i, p in enumerate(pts):
+                got, want = tree.query(p, k, d), knn_brute(pts, p, k, d)
+                assert np.array_equal(got.indices, want.indices) and np.array_equal(table[i], want.indices), (i, k, d)
+                assert got.distances.tobytes() == want.distances.tobytes(), (i, k, d)
+
+
+def test_table_rows_are_copies_and_tables_do_not_mix(rng):
+    pts = _clustered(rng)
+    pts = np.vstack([pts, pts[:50]])  # 50 duplicated rows
+    tree = KdTree(pts)
+    first = tree.query(pts[7], 3)
+    first.indices[:] = -1
+    first.distances[:] = np.nan
+    again = tree.query(pts[7], 3)
+    assert np.array_equal(again.indices, knn_brute(pts, pts[7], 3).indices)
+    assert np.array_equal(again.distances, knn_brute(pts, pts[7], 3).distances)
+    pairs = [(3, np.inf), (1, 0.5), (5, 0.0), (3, 0.5), (2, np.inf)]
+    for i, p in enumerate(pts):
+        k, d = pairs[i % len(pairs)]
+        got, want = knn_query(tree, p, k, d), knn_brute(pts, p, k, d)
+        assert np.array_equal(got.indices, want.indices) and np.array_equal(got.distances, want.distances), (i, k, d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("row", [0, 40, 99])
+def test_nonfinite_point_rejected_without_warnings(rng, bad, row):
+    pts = rng.uniform(-5, 5, size=(100, 3))
+    pts[row, row % 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target must be finite"):
+            knn_table(pts, 3)
+        with pytest.raises(ValueError, match="non-finite points"):
+            KdTree(pts)
+
+
+def test_extreme_coordinates_match_brute_without_warnings():
+    with pytest.raises(ValueError, match="overflows float64"):
+        KdTree([[-1e308, 0, 0], [1e308, 0, 0]])
+    clouds = [
+        # d² overflows to inf between the far points and underflows to 0 between the two near ones
+        np.array([[1e300, 0, 0], [-1e300, 0, 0], [0, 1e-300, 0], [0, 0, 0], [1e300, 1, 0]]),
+        # a span past 2**1023, whose one-cell size would overflow, and one of a few subnormals
+        np.array([[-0.8e308, 0, 0], [0.8e308, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        np.array([[0, 0, 0], [5e-324, 0, 0], [0, 1e-323, 0], [0, 0, 1.5e-323]]),
+        # subnormal d²: both points of the last target's k = 2 query round to a d² whose root is below the
+        # distance of one of them, which lies a cell beyond that root
+        np.array([[1.75, 2, 0], [1.75, 0, 0]]) * 2.0**-537,
+    ]
+    for pts in clouds:
+        near = np.array([1.486211839459375, 0.8610027580870387, 0]) * 2.0**-537
+        targets = np.vstack([pts, [(-1e308, 0, 0), (1e308, 1e308, 0), (0, 0, 5e-324), near]])
+        tree = KdTree(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [knn_query(tree, t, k) for k in (1, 2, 3) for t in targets]
+        with np.errstate(over="ignore", under="ignore"):
+            want = [knn_brute(pts, t, k) for k in (1, 2, 3) for t in targets]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.indices, w.indices) and np.array_equal(g.distances, w.distances), (pts, g, w)
 
 
 def _lattice_5():

@@ -278,9 +278,8 @@ class TestPgm:
 
     @pytest.mark.parametrize(
         "header",
-        [b"# hand-made\nP5 2 1 255\n", b"P5\r2\x0b1\x0c255\t", b"P5 #a\n#b\n2 1 #c\n255\n", b"P5 02 1 0255\n",
-         b"P5\n2 1\n255\r"],
-        ids=["comment_before_magic", "cr_vt_ff_tab", "comments_between", "leading_zeros", "cr_ends_header"],
+        [b"P5\r2\x0b1\x0c255\t", b"P5 #a\n#b\n2 1 #c\n255\n", b"P5 02 1 0255\n", b"P5\n2 1\n255\r"],
+        ids=["cr_vt_ff_tab", "comments_between", "leading_zeros", "cr_ends_header"],
     )
     def test_header_accepted(self, tmp_path, header):
         path = tmp_path / "mask.pgm"
@@ -299,14 +298,15 @@ class TestPgm:
          (b"P5 2 1", "malformed or truncated header"),
          (b"P5x 2 1 255\n\0\0", "expected binary P5 header"),
          (b"#P5 2 1 255\n\0\0", "expected binary P5 header"),
+         (b"# hand-made\nP5 2 1 255\n\0\xff", "expected binary P5 header"),  # the magic starts the file
          (b"", "expected binary P5 header"),
          (b"P5 2 1 256\n\0\0", "expected maxval 255, got 256"),
          (b"P5 2 1 255", "truncated payload"),
          (b"P5 2 1 255\n\0", "truncated payload"),
          (b"P5 " + b"1" * 4301 + b" 1 255\n", "header number has too many digits")],
         ids=["comment_to_end", "comment_eats_numbers", "hash_in_token", "hash_after_width", "hash_after_maxval",
-             "plus_sign", "minus_sign", "no_maxval", "magic_token", "magic_in_comment", "empty", "maxval_256",
-             "no_payload", "short_payload", "long_number"],
+             "plus_sign", "minus_sign", "no_maxval", "magic_token", "magic_in_comment", "comment_before_magic",
+             "empty", "maxval_256", "no_payload", "short_payload", "long_number"],
     )
     def test_header_rejected(self, tmp_path, raw, message):
         path = tmp_path / "mask.pgm"
