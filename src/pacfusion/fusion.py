@@ -12,11 +12,17 @@ hand in float64; gradients are exact reverse-mode, with the max-pool
 routing gradient to the lowest argmax slot. The MLP runs once over the
 N*K neighbor rows as one (N*K, width) matrix: one GEMM per layer.
 
-The forward pass applies each hidden ReLU in place and caches only the
-layer inputs; backward reads a layer's ReLU mask from the next layer's
-input (activation > 0 exactly where the pre-activation was). The
-max-pool caches one slot per (point, channel), and backward routes the
-pooled gradient into those slots with one scatter.
+The forward pass applies each hidden ReLU in place and caches each
+layer's input, the MLP output per slot and the max-pool's argmax.
+Backward uses that cache up. It writes the head gradient over the cached
+MLP output. At each hidden layer it reads the ReLU mask from the layer's
+input (activation > 0 exactly where the pre-activation was), then writes
+the gradient of that input over it. So the only (N*K, width) array
+backward allocates is the grad_rows it returns, and a second backward on
+the same cache raises ValueError. The first layer's input is the
+caller's neighbor rows, which are never written. The max-pool caches one
+slot per (point, channel), and backward routes the pooled gradient into
+those slots with one scatter.
 
 The elementwise passes run over blocks of _BLOCK points (K * _BLOCK MLP
 rows), so each pass finds its operands in L2 instead of streaming the
@@ -201,7 +207,8 @@ def assemble_neighbors(
 @dataclass
 class _ForwardCache:
     rows: np.ndarray  # (N, K, D_i) neighbor rows
-    # input of each layer as (N*K, width); entry li + 1 is layer li's ReLU output
+    # input of each layer as (N*K, width); entry li + 1 is layer li's ReLU output.
+    # pacf_backward takes these and y_cc_k, which it overwrites; y_cc_k None marks a used cache
     activations: list[np.ndarray] = field(default_factory=list)
     y_cc_k: np.ndarray | None = None  # (N, K, D_o) MLP output per slot
     argmax: np.ndarray | None = None  # (N, D_i) lowest max-pool slot per channel
@@ -273,31 +280,50 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
 def pacf_backward(
     cache: _ForwardCache, params: PacfParams, grad_out: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients.
+    """Exact reverse-mode gradients; uses up the cache.
 
     grad_out has shape (N, 2*D_o + D_i) matching the forward output.
-    Returns (grad_weights, grad_biases, grad_aggr, grad_rows).
+    Returns (grad_weights, grad_biases, grad_aggr, grad_rows). The
+    gradients are written over the cache's MLP output and hidden-layer
+    activations, so a second backward on the same cache raises ValueError:
+    run pacf_forward again. cache.rows and cache.argmax remain, and the
+    caller's neighbor rows are never written.
     """
+    if cache.y_cc_k is None:
+        raise ValueError("this forward cache was used by an earlier pacf_backward; run pacf_forward again")
     n, k, d_i = cache.rows.shape
     d_o = cache.y_cc_k.shape[2]
+    if grad_out.shape != (n, 2 * d_o + d_i):
+        raise ValueError(f"grad_out has shape {grad_out.shape} but the forward output has shape {(n, 2 * d_o + d_i)}")
+    y_cc_k, activations = cache.y_cc_k, cache.activations
+    cache.y_cc_k, cache.activations = None, []
     g_cc = grad_out[:, :d_o]
     g_a = grad_out[:, d_o : 2 * d_o]
     g_pool = grad_out[:, 2 * d_o :]
 
     # aggregation scalars: y_a = sum_k w_k y_cc_k
-    grad_aggr = np.einsum("nd,nkd->k", g_a, cache.y_cc_k)
+    grad_aggr = np.einsum("nd,nkd->k", g_a, y_cc_k)
 
-    # per-slot gradient entering the MLP head, one row per neighbour
-    g = (g_cc[:, None, :] + params.aggr_weights[None, :, None] * g_a[:, None, :]).reshape(n * k, d_o)
+    # per-slot gradient entering the MLP head, one row per neighbour, over y_cc_k
+    np.multiply(params.aggr_weights[None, :, None], g_a[:, None, :], out=y_cc_k)
+    y_cc_k += g_cc[:, None, :]
+    g = y_cc_k.reshape(n * k, d_o)
+    del y_cc_k  # g holds the last reference: the buffer is freed once the head layer is done
 
+    # each layer's input gives its weight gradient, then (but for the caller's
+    # rows at layer 0) its ReLU mask and the buffer for the gradient it receives
     grad_w, grad_b = [], []
-    n_layers = len(params.weights)
-    for li in range(n_layers - 1, -1, -1):
-        if li < n_layers - 1:
-            np.multiply(g, cache.activations[li + 1] > 0, out=g)
-        grad_w.insert(0, cache.activations[li].T @ g)
+    for li in range(len(params.weights) - 1, -1, -1):
+        x = activations.pop()
+        grad_w.insert(0, x.T @ g)
         grad_b.insert(0, g.sum(axis=0))
-        g = g @ params.weights[li].T
+        if li:
+            mask = x > 0
+            g = np.matmul(g, params.weights[li].T, out=x)
+            g *= mask
+            del mask
+        else:
+            g = g @ params.weights[0].T
 
     # max-pool: each (point, channel) adds to its one argmax slot, so no flat index
     # repeats; g is a fresh C-order GEMM result, so its row blocks are contiguous

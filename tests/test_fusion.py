@@ -1,4 +1,6 @@
+import itertools
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,6 +334,72 @@ class TestBackward:
         np.testing.assert_array_equal(grows[0, :, 1], [0.0, 0.0, 2.0])
 
 
+class TestBackwardUsesCache:
+    """Backward writes its gradients over the forward cache, which it leaves used up."""
+
+    @staticmethod
+    def _forward(k, n=5, hidden=(7,), seed=3):
+        dims = FusionDims(c_seg=1, c_lidar=2, d_o=4)  # D_i = 6, output width 14
+        rng = np.random.default_rng([seed, k])
+        nf = make_nf(rng, n, k, dims)
+        params = fusion.init_params(fusion.MlpSpec(widths=(dims.d_i, *hidden, dims.d_o)), k, seed=seed)
+        params.aggr_weights = rng.normal(size=k)
+        grad_out = rng.normal(size=(n, 2 * dims.d_o + dims.d_i))
+        return nf, params, grad_out
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 16), (5, 13), (6, 14), (1, 14), (5, 14, 1), (5, 8)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bad_grad_out_shape_rejected_before_the_cache_is_touched(self, shape):
+        nf, params, grad_out = self._forward(k=3)
+        _, cache = fusion.pacf_forward(nf, params)
+        with pytest.raises(ValueError, match=r"grad_out has shape \(.*\) but the forward output has shape \(5, 14\)"):
+            fusion.pacf_backward(cache, params, np.ones(shape))
+        got = fusion.pacf_backward(cache, params, grad_out)
+        want = where_loop_backward(nf.rows, params, concatenate_forward(nf.rows, params)[1], grad_out)
+        for got_g, want_g in zip([*got[0], *got[1], *got[2:]], [*want[0], *want[1], *want[2:]]):
+            assert same_bits(got_g, want_g)
+
+    def test_second_backward_rejected(self):
+        nf, params, grad_out = self._forward(k=3)
+        _, cache = fusion.pacf_forward(nf, params)
+        fusion.pacf_backward(cache, params, grad_out)
+        with pytest.raises(ValueError, match="used by an earlier pacf_backward; run pacf_forward again"):
+            fusion.pacf_backward(cache, params, grad_out)
+
+    @pytest.mark.parametrize("hidden", [(), (7,), (8, 3)], ids=["one_layer", "one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_neighbor_rows_never_written(self, k, hidden):
+        nf, params, grad_out = self._forward(k, hidden=hidden)
+        before = nf.rows.tobytes()
+        _, cache = fusion.pacf_forward(nf, params)
+        fusion.pacf_backward(cache, params, grad_out)
+        assert nf.rows.tobytes() == before
+
+    def test_rows_and_argmax_kept(self):
+        nf, params, grad_out = self._forward(k=3)
+        _, cache = fusion.pacf_forward(nf, params)
+        argmax = cache.argmax.copy()
+        fusion.pacf_backward(cache, params, grad_out)
+        assert cache.rows is nf.rows
+        np.testing.assert_array_equal(cache.argmax, argmax)
+
+    def test_peak_allocation_is_about_grad_rows(self):
+        """At train-step widths, backward allocates little beyond the grad_rows it returns."""
+        rng = np.random.default_rng(4)
+        nf = make_nf(rng, 4096, 3, BACKBONE)  # widths (135, 135, 64)
+        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), 3, seed=4)
+        grad_out = rng.normal(size=(4096, 2 * BACKBONE.d_o + BACKBONE.d_i))
+        _, cache = fusion.pacf_forward(nf, params)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grad_rows = fusion.pacf_backward(cache, params, grad_out)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.25 * grad_rows.nbytes
+
+
 class TestRetrieval:
     def test_nearest_pixel_rule(self):
         fmap = FeatureMap(data=np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
@@ -430,6 +498,12 @@ class TestReferenceBits:
 
     CASES = [(k, c) for k in (1, 3, 5) for c in (BACKBONE.c_lidar, 0)]
     IDS = [f"k{k}-{'backbone' if c else 'no_point_features'}" for k, c in CASES]
+    # hidden widths between D_i and D_o: None is one hidden layer of width D_i; backward
+    # writes each hidden layer's gradient over that layer's cached input, so every depth
+    # and width hands its buffers on differently
+    HIDDEN = {None: "", (): "-one_layer", (17, 9, 31): "-three_hidden"}
+    MLP_CASES = [(k, c, hidden) for (k, c), hidden in itertools.product(CASES, HIDDEN)]
+    MLP_IDS = [case_id + suffix for case_id, suffix in itertools.product(IDS, HIDDEN.values())]
 
     @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
     def test_assemble_matches_zero_fill(self, k, c_lidar):
@@ -441,24 +515,25 @@ class TestReferenceBits:
         assert same_bits(nf.rows, rows)
         np.testing.assert_array_equal(nf.valid, valid)
 
-    @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
-    def test_forward_and_backward_match_references(self, k, c_lidar):
-        self._check_forward_and_backward(*tied_frame(k, c_lidar))
+    @pytest.mark.parametrize("k, c_lidar, hidden", MLP_CASES, ids=MLP_IDS)
+    def test_forward_and_backward_match_references(self, k, c_lidar, hidden):
+        self._check_forward_and_backward(*tied_frame(k, c_lidar), hidden=hidden)
 
-    @pytest.mark.parametrize("k, c_lidar", CASES, ids=IDS)
-    def test_forward_and_backward_match_references_across_blocks(self, k, c_lidar):
+    @pytest.mark.parametrize("k, c_lidar, hidden", MLP_CASES, ids=MLP_IDS)
+    def test_forward_and_backward_match_references_across_blocks(self, k, c_lidar, hidden):
         """Several whole point blocks and a ragged last one, so every pass crosses block edges."""
         n = 3 * fusion._BLOCK + 18
-        self._check_forward_and_backward(*tied_frame(k, c_lidar, n=n))
+        self._check_forward_and_backward(*tied_frame(k, c_lidar, n=n), hidden=hidden)
 
     @staticmethod
-    def _check_forward_and_backward(cloud, semantic, nbr, sem_valid, features):
+    def _check_forward_and_backward(cloud, semantic, nbr, sem_valid, features, hidden):
         nf = fusion.assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=features)
         k, d_i = nbr.shape[1], nf.dims.d_i
         if k > 1:  # whole rows tie across slots, including with slot 0
             assert (nf.rows[:, 1:] == nf.rows[:, :1]).all(axis=2).any()
             assert ((nf.rows == nf.rows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
-        params = fusion.init_params(fusion.MlpSpec(widths=(d_i, d_i, BACKBONE.d_o)), k, seed=k)
+        widths = (d_i, *((d_i,) if hidden is None else hidden), BACKBONE.d_o)
+        params = fusion.init_params(fusion.MlpSpec(widths=widths), k, seed=k)
         rng = np.random.default_rng([k, nf.dims.c_lidar])
         params.aggr_weights = rng.normal(size=k)
         grad_out = rng.normal(size=(len(nbr), 2 * BACKBONE.d_o + d_i))
