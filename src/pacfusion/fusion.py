@@ -17,12 +17,14 @@ layer's input, the MLP output per slot and the max-pool's argmax.
 Backward uses that cache up. It writes the head gradient over the cached
 MLP output. At each hidden layer it reads the ReLU mask from the layer's
 input (activation > 0 exactly where the pre-activation was), then writes
-the gradient of that input over it. So the only (N*K, width) array
-backward allocates is the grad_rows it returns, and a second backward on
-the same cache raises ValueError. The first layer's input is the
-caller's neighbor rows, which are never written. The max-pool caches one
-slot per (point, channel), and backward routes the pooled gradient into
-those slots with one scatter.
+the gradient of that input over it. The grad_rows it returns goes over
+the buffer of layer 0's output gradient when that is (N*K, D_i) too, as
+the layer-1 activation is when the first hidden width is D_i; otherwise
+grad_rows is the one (N*K, width) array backward allocates. A second
+backward on the same cache raises ValueError. The first layer's input is
+the caller's neighbor rows, which are never written. The max-pool caches
+one slot per (point, channel), and backward routes the pooled gradient
+into those slots with one scatter.
 
 The elementwise passes run over blocks of _BLOCK points (K * _BLOCK MLP
 rows), so each pass finds its operands in L2 instead of streaming the
@@ -31,11 +33,15 @@ bias and ReLU; then, per block of points, the output bias, both slot sums,
 the max-pool and its argmax, written straight into the output rows; and
 in backward, the max-pool scatter, indexed within its block. Every
 element sees the same operations in the same order as over the whole
-array, so blocking changes no bit. The GEMMs and the column sums
-(grad_w, grad_b, the aggregation einsum) stay whole: a GEMM is already
-blocked inside BLAS, and a column sum split into row blocks would add in
-another order and change bits. The backward head and ReLU mask stay whole
-too: blocked, they held more memory at peak.
+array, so blocking changes no bit. Backward's last GEMM, grad_rows =
+g @ W0.T, runs per block too, so that it can write over its own operand
+one block at a time; a ragged tail shorter than _BLOCK joins the block
+before it, because this BLAS gives a row block's GEMM the whole GEMM's
+bits only when the block has enough rows (>= 136 at width 135). The other
+GEMMs and the column sums (grad_w, grad_b, the aggregation einsum) stay
+whole: a GEMM is already blocked inside BLAS, and a column sum split into
+row blocks would add in another order and change bits. The backward head
+and ReLU mask stay whole too: blocked, they held more memory at peak.
 """
 
 from __future__ import annotations
@@ -285,9 +291,12 @@ def pacf_backward(
     grad_out has shape (N, 2*D_o + D_i) matching the forward output.
     Returns (grad_weights, grad_biases, grad_aggr, grad_rows). The
     gradients are written over the cache's MLP output and hidden-layer
-    activations, so a second backward on the same cache raises ValueError:
-    run pacf_forward again. cache.rows and cache.argmax remain, and the
-    caller's neighbor rows are never written.
+    activations, grad_rows over the layer-1 activation when its shape is
+    (N*K, D_i), so a second backward on the same cache raises ValueError:
+    run pacf_forward again. params must have the k and widths the forward
+    ran with, or ValueError is raised before the cache is touched.
+    cache.rows and cache.argmax remain, and the caller's neighbor rows are
+    never written.
     """
     if cache.y_cc_k is None:
         raise ValueError("this forward cache was used by an earlier pacf_backward; run pacf_forward again")
@@ -295,6 +304,12 @@ def pacf_backward(
     d_o = cache.y_cc_k.shape[2]
     if grad_out.shape != (n, 2 * d_o + d_i):
         raise ValueError(f"grad_out has shape {grad_out.shape} but the forward output has shape {(n, 2 * d_o + d_i)}")
+    widths = (*(a.shape[1] for a in cache.activations), d_o)
+    if (params.k, params.spec.widths) != (k, widths):
+        raise ValueError(
+            f"the parameters have k={params.k} and widths {params.spec.widths} "
+            f"but the forward ran with k={k} and widths {widths}"
+        )
     y_cc_k, activations = cache.y_cc_k, cache.activations
     cache.y_cc_k, cache.activations = None, []
     g_cc = grad_out[:, :d_o]
@@ -323,10 +338,18 @@ def pacf_backward(
             g *= mask
             del mask
         else:
-            g = g @ params.weights[0].T
+            # over g's own buffer when the first hidden width is D_i; numpy copies each
+            # block's overlapping operand first. A short tail joins the previous block:
+            # a GEMM split into row blocks keeps its bits only for blocks of enough rows
+            dest = g if g.shape[1] == d_i else np.empty((n * k, d_i))
+            edges = [*(range(0, n - _BLOCK + 1, _BLOCK) or [0]), n]
+            for lo, hi in zip(edges, edges[1:]):
+                blk = slice(lo * k, hi * k)
+                np.matmul(g[blk], params.weights[0].T, out=dest[blk])
+            g = dest
 
     # max-pool: each (point, channel) adds to its one argmax slot, so no flat index
-    # repeats; g is a fresh C-order GEMM result, so its row blocks are contiguous
+    # repeats; g is a C-order (N*K, D_i) array, so its row blocks are contiguous
     g = g.reshape(n, k * d_i)
     offsets = np.arange(_BLOCK)[:, None] * (k * d_i) + np.arange(d_i)
     for lo in range(0, n, _BLOCK):

@@ -347,6 +347,12 @@ class TestBackwardUsesCache:
         grad_out = rng.normal(size=(n, 2 * dims.d_o + dims.d_i))
         return nf, params, grad_out
 
+    @staticmethod
+    def _assert_reference_gradients(nf, params, grad_out, got):
+        want = where_loop_backward(nf.rows, params, concatenate_forward(nf.rows, params)[1], grad_out)
+        for got_g, want_g in zip([*got[0], *got[1], *got[2:]], [*want[0], *want[1], *want[2:]]):
+            assert same_bits(got_g, want_g)
+
     @pytest.mark.parametrize("shape", [(5,), (5, 16), (5, 13), (6, 14), (1, 14), (5, 14, 1), (5, 8)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_bad_grad_out_shape_rejected_before_the_cache_is_touched(self, shape):
@@ -354,10 +360,20 @@ class TestBackwardUsesCache:
         _, cache = fusion.pacf_forward(nf, params)
         with pytest.raises(ValueError, match=r"grad_out has shape \(.*\) but the forward output has shape \(5, 14\)"):
             fusion.pacf_backward(cache, params, np.ones(shape))
-        got = fusion.pacf_backward(cache, params, grad_out)
-        want = where_loop_backward(nf.rows, params, concatenate_forward(nf.rows, params)[1], grad_out)
-        for got_g, want_g in zip([*got[0], *got[1], *got[2:]], [*want[0], *want[1], *want[2:]]):
-            assert same_bits(got_g, want_g)
+        self._assert_reference_gradients(nf, params, grad_out, fusion.pacf_backward(cache, params, grad_out))
+
+    @pytest.mark.parametrize("widths, k", [((6, 7, 4), 2), ((5, 7, 4), 3), ((6, 8, 4), 3), ((6, 7, 5), 3),
+                                           ((6, 7, 7, 4), 3), ((6, 4), 3)],
+                             ids=["k", "d_i", "hidden_width", "d_o", "one_layer_more", "one_layer_fewer"])
+    def test_params_that_do_not_fit_the_cache_rejected_before_it_is_touched(self, widths, k):
+        nf, params, grad_out = self._forward(k=3)  # widths (6, 7, 4)
+        _, cache = fusion.pacf_forward(nf, params)
+        other = fusion.init_params(fusion.MlpSpec(widths=widths), k, seed=5)
+        want_msg = rf"the parameters have k={k} and widths \({', '.join(map(str, widths))}\) " \
+                   r"but the forward ran with k=3 and widths \(6, 7, 4\)"
+        with pytest.raises(ValueError, match=want_msg):
+            fusion.pacf_backward(cache, other, grad_out)
+        self._assert_reference_gradients(nf, params, grad_out, fusion.pacf_backward(cache, params, grad_out))
 
     def test_second_backward_rejected(self):
         nf, params, grad_out = self._forward(k=3)
@@ -383,13 +399,16 @@ class TestBackwardUsesCache:
         assert cache.rows is nf.rows
         np.testing.assert_array_equal(cache.argmax, argmax)
 
-    def test_peak_allocation_is_about_grad_rows(self):
-        """At train-step widths, backward allocates little beyond the grad_rows it returns."""
+    @pytest.mark.parametrize("hidden, bound", [(BACKBONE.d_i, 0.25), (200, 1.25)], ids=["hidden_d_i", "hidden_200"])
+    def test_grad_rows_written_over_the_layer1_activation(self, hidden, bound):
+        """At train-step widths (135, 135, 64) grad_rows takes the cached layer-1 activation's buffer, so
+        backward allocates little beyond one block; a hidden width other than D_i allocates grad_rows fresh."""
         rng = np.random.default_rng(4)
-        nf = make_nf(rng, 4096, 3, BACKBONE)  # widths (135, 135, 64)
-        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), 3, seed=4)
+        nf = make_nf(rng, 4096, 3, BACKBONE)
+        params = fusion.init_params(fusion.MlpSpec(widths=(BACKBONE.d_i, hidden, BACKBONE.d_o)), 3, seed=4)
         grad_out = rng.normal(size=(4096, 2 * BACKBONE.d_o + BACKBONE.d_i))
         _, cache = fusion.pacf_forward(nf, params)
+        act = cache.activations[1]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -397,7 +416,24 @@ class TestBackwardUsesCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 1.25 * grad_rows.nbytes
+        assert peak - start <= bound * grad_rows.nbytes
+        assert np.shares_memory(grad_rows, act) == (hidden == BACKBONE.d_i)
+
+    def test_forward_allocates_only_its_outputs_and_cache(self):
+        """At train-step widths, forward holds the layer-1 activation, the MLP output, the values and the argmax, and little more."""
+        rng = np.random.default_rng(4)
+        nf = make_nf(rng, 4096, 3, BACKBONE)
+        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), 3, seed=4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fused, cache = fusion.pacf_forward(nf, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cache.activations) == 2
+        kept = cache.activations[1].nbytes + cache.y_cc_k.nbytes + fused.values.nbytes + cache.argmax.nbytes
+        assert peak - start <= 1.10 * kept
 
 
 class TestRetrieval:
@@ -517,18 +553,23 @@ class TestReferenceBits:
 
     @pytest.mark.parametrize("k, c_lidar, hidden", MLP_CASES, ids=MLP_IDS)
     def test_forward_and_backward_match_references(self, k, c_lidar, hidden):
-        self._check_forward_and_backward(*tied_frame(k, c_lidar), hidden=hidden)
+        self._check_forward_and_backward(fusion.assemble_neighbors(*tied_frame(k, c_lidar)), hidden)
 
     @pytest.mark.parametrize("k, c_lidar, hidden", MLP_CASES, ids=MLP_IDS)
     def test_forward_and_backward_match_references_across_blocks(self, k, c_lidar, hidden):
         """Several whole point blocks and a ragged last one, so every pass crosses block edges."""
         n = 3 * fusion._BLOCK + 18
-        self._check_forward_and_backward(*tied_frame(k, c_lidar, n=n), hidden=hidden)
+        self._check_forward_and_backward(fusion.assemble_neighbors(*tied_frame(k, c_lidar, n=n)), hidden)
+
+    @pytest.mark.parametrize("hidden", [None, (17, 9, 31)], ids=["in_place", "three_hidden"])
+    def test_one_point_tail_at_k1_matches_references(self, hidden):
+        """One row past two whole blocks: backward's layer-0 GEMM must take it into the last block."""
+        nf = make_nf(np.random.default_rng(11), 2 * fusion._BLOCK + 1, 1, BACKBONE)
+        self._check_forward_and_backward(nf, hidden)
 
     @staticmethod
-    def _check_forward_and_backward(cloud, semantic, nbr, sem_valid, features, hidden):
-        nf = fusion.assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=features)
-        k, d_i = nbr.shape[1], nf.dims.d_i
+    def _check_forward_and_backward(nf, hidden):
+        n, k, d_i = nf.rows.shape
         if k > 1:  # whole rows tie across slots, including with slot 0
             assert (nf.rows[:, 1:] == nf.rows[:, :1]).all(axis=2).any()
             assert ((nf.rows == nf.rows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
@@ -536,7 +577,7 @@ class TestReferenceBits:
         params = fusion.init_params(fusion.MlpSpec(widths=widths), k, seed=k)
         rng = np.random.default_rng([k, nf.dims.c_lidar])
         params.aggr_weights = rng.normal(size=k)
-        grad_out = rng.normal(size=(len(nbr), 2 * BACKBONE.d_o + d_i))
+        grad_out = rng.normal(size=(n, 2 * BACKBONE.d_o + d_i))
         fused, cache = fusion.pacf_forward(nf, params)
         want_values, saved = concatenate_forward(nf.rows, params)
         assert same_bits(fused.values, want_values)
