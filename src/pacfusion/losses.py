@@ -46,7 +46,7 @@ class SparseMask:
     def to_pgm(self, path) -> None:
         """Export for inspection: 0 unsupervised, 128 background, 255 foreground."""
         levels = np.array([0, 128, 255], dtype=np.uint8)
-        write_pgm(levels[self.state], path)
+        write_pgm(levels.take(self.state), path)
 
 
 def label_points(cloud: PointCloud, boxes: list[Box3D], calib: CalibrationSet) -> np.ndarray:

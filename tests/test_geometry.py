@@ -209,3 +209,75 @@ def test_lidar_to_camera_chain(rng):
     for i, p in enumerate(xyz):
         expected = calib.R0_rect @ (calib.Tr_velo_to_cam @ np.append(p, 1.0))
         np.testing.assert_allclose(cam[i], expected, atol=1e-12)
+
+
+# KITTI object-benchmark calibration of training frame 000000: rotations that mix every axis
+KITTI_000000 = kitti.CalibrationSet(
+    P2=[[721.5377, 0.0, 609.5593, 44.85728], [0.0, 721.5377, 172.854, 0.2163791], [0.0, 0.0, 1.0, 0.002745884]],
+    R0_rect=[[0.9999239, 0.0098377, -0.007445048], [-0.009869795, 0.9999421, -0.004278459],
+             [0.007402527, 0.004351614, 0.9999631]],
+    Tr_velo_to_cam=[[0.007533745, -0.9999714, -0.000616602, -0.004069766],
+                    [0.01480249, 0.0007280733, -0.9998902, -0.07631618],
+                    [0.9998621, 0.00752379, 0.01480755, -0.2717806]],
+)
+# on the camera plane (u = inf), just in front of it (|u| ~ 1e22) and just behind it, under make_calib's frame
+CAMERA_PLANE_EDGES = [(0.0, 1.0, 0.5), (1e-20, 1.0, 0.5), (-1e-7, 3.0, 0.0), (1e-3, 2.0, -1.0)]
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [a.tobytes() for a in arrays]
+
+
+def _projection_rows(xyz, calib, image_size):
+    px = geometry.project_points(_cloud(xyz), calib, image_size)
+    return geometry.lidar_to_camera(xyz, calib), px.u, px.v, px.depth, px.valid
+
+
+def _transposed_view_projection(xyz, calib, image_size):
+    """The reference expressions, with transposed-view operands and the offsets added out of place."""
+    height, width = image_size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cam = (xyz @ calib.Tr_velo_to_cam[:, :3].T + calib.Tr_velo_to_cam[:, 3]) @ calib.R0_rect.T
+        hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
+        w = hom[:, 2]
+        u = np.where(w != 0, hom[:, 0] / w, np.inf)
+        v = np.where(w != 0, hom[:, 1] / w, np.inf)
+    valid = (w > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    return cam, u, v, w, valid
+
+
+@pytest.mark.parametrize("calib, image_size", [(KITTI_000000, (375, 1242)), (make_calib(), (64, 192))],
+                         ids=["kitti", "plain"])
+@pytest.mark.parametrize("n", [1, 2, 135, 136, 2048, 16384, 49087])
+def test_projection_rows_are_batch_independent(n, calib, image_size):
+    """A point gets the same bits alone, in any sub-batch and in the whole cloud; N >= 2 gets the reference bits."""
+    rng = np.random.default_rng(n)
+    xyz = rng.uniform((0.0, -40.0, -1.0), (70.4, 40.0, 3.0), size=(n, 3)).astype(np.float32).astype(np.float64)
+    edges = min(n, len(CAMERA_PLANE_EDGES))
+    xyz[n - edges:] = CAMERA_PLANE_EDGES[:edges]
+    whole = _projection_rows(xyz, calib, image_size)
+    if n >= 2:
+        assert _bits(*whole) == _bits(*_transposed_view_projection(xyz, calib, image_size))
+    rows = np.unique(np.concatenate((rng.integers(0, n, size=24), np.arange(n - edges, n))))
+    for i in rows:
+        assert _bits(*(a[i : i + 1] for a in whole)) == _bits(*_projection_rows(xyz[i : i + 1], calib, image_size))
+    for size in {min(n, s) for s in (2, 7, 135, 136, 300)}:
+        sub = np.sort(rng.choice(n, size=size, replace=False))
+        sub[-1] = n - 1  # an edge point
+        assert _bits(*(a[sub] for a in whole)) == _bits(*_projection_rows(xyz[sub], calib, image_size))
+
+
+def test_cuts_return_contiguous_arrays(rng):
+    """Every cut the CLI makes (ROI, frustum, sample) hands the next stage C-contiguous rows."""
+    cloud = PointCloud(xyz=rng.uniform(-50, 80, size=(500, 3)), reflectance=rng.uniform(0, 1, size=500),
+                       features=rng.normal(size=(500, 2)))
+    roi, _ = geometry.filter_region(cloud, geometry.RegionOfInterest())
+    visible = np.nonzero(geometry.project_points(roi, make_calib(), (64, 192)).valid)[0]
+    frustum = geometry._take(roi, visible)
+    for n in (len(frustum) // 2, 2 * len(frustum)):
+        sample, idx = geometry.subsample(frustum, n, seed=3)
+        for cut in (roi, frustum, sample):
+            for a in (cut.xyz, cut.reflectance, cut.features):
+                assert a.flags.c_contiguous and a.flags.owndata
+        np.testing.assert_array_equal(sample.xyz, frustum.xyz[idx])
+        np.testing.assert_array_equal(sample.features, frustum.features[idx])

@@ -48,6 +48,14 @@ class TestVelodyne:
         with pytest.raises(kitti.FormatError, match="reflectance"):
             kitti.decode_velodyne(raw)
 
+    def test_decode_widens_into_contiguous_arrays(self, rng):
+        records = np.hstack([rng.uniform(-100, 100, size=(300, 3)), rng.uniform(0, 1, size=(300, 1))]).astype("<f4")
+        cloud = kitti.decode_velodyne(records.tobytes())
+        for a in (cloud.xyz, cloud.reflectance):
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
+        np.testing.assert_array_equal(cloud.xyz, records[:, :3])
+        np.testing.assert_array_equal(cloud.reflectance, records[:, 3])
+
     def test_roundtrip_random(self, rng):
         for _ in range(100):
             n = int(rng.integers(0, 50))
