@@ -15,7 +15,6 @@ from pacfusion import (
     focal_loss,
     label_points,
     make_sparse_mask,
-    total_loss,
 )
 
 Tr = np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
@@ -42,9 +41,6 @@ cfg = FocalLossConfig()  # alpha 0.25, gamma 2
 for name, preds in [("uniform 0.5", uniform), ("confidently wrong", confident_wrong)]:
     loss, grad, _ = focal_loss(preds, mask, cfg)
     print(f"focal loss, {name}: {loss:.4f}")
-
-seg, _, _ = focal_loss(uniform, mask, cfg)
-print("total loss with external detection loss 1.2:", round(total_loss(1.2, seg), 4))
 
 mask.to_pgm("mask_demo.pgm")
 print("wrote mask_demo.pgm (0 unsupervised / 128 background / 255 foreground)")

@@ -35,7 +35,6 @@ from .losses import (
     focal_loss,
     label_points,
     make_sparse_mask,
-    total_loss,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion, geometry, kdtree, kitti, losses
-from .types import FusionDims, PointCloud
+from .types import PointCloud
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,27 +214,27 @@ def cmd_fuse(args) -> int:
     cloud = _prepare_cloud(args, calib, (fmap.height, fmap.width))
     params = None
     if args.mode == "v1":
-        dims = FusionDims(fmap.channels, cloud.c_lidar, args.dout or 8)
+        d_i = fmap.channels + 3  # semantic channels and the offset; a scan carries no point features
         if args.params:
             params = fusion.load_params(args.params)
         else:
-            spec = args.mlp or fusion.MlpSpec.default(dims.d_i, dims.d_o)
+            spec = args.mlp or fusion.MlpSpec.default(d_i, args.dout or 8)
             params = fusion.init_params(spec, args.k, seed=args.seed)
         # check the operator fits before the per-point kNN queries
         try:
-            params.check_fit(args.k, dims.d_i)
+            params.check_fit(args.k, d_i)
         except ValueError as exc:
             source = f"checkpoint {args.params}" if args.params else "--mlp"
-            raise ValueError(f"{source}: {exc} (--k is {args.k}; the frame gives rows of width {dims.d_i}"
-                             f" = {fmap.channels} semantic + {cloud.c_lidar} point channels + 3)") from None
+            raise ValueError(f"{source}: {exc} (--k is {args.k}; the frame gives rows of width {d_i}"
+                             f" = {fmap.channels} semantic + 0 point channels + 3)") from None
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         fused = fusion.fuse_cloud(cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode)
-        rows = fused.features.astype(np.float32)
+        rows = fused.astype(np.float32)
     if not np.isfinite(rows).all():
         raise ValueError("the PACF operator's output overflows float32, the type of the output container")
     kitti.write_feature_map(kitti.FeatureMap(data=rows[:, None, :]), args.out)
-    print(f"wrote {len(fused.features)} rows of width {fused.features.shape[1]} to {args.out}")
+    print(f"wrote {len(fused)} rows of width {fused.shape[1]} to {args.out}")
     return EXIT_OK
 
 

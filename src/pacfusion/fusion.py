@@ -371,26 +371,25 @@ def fuse_cloud(
     k: int = 3,
     d: float = np.inf,
     mode: str = "v1",
-) -> PointCloud:
-    """Run retrieval (+ fusion) over a whole cloud.
+) -> np.ndarray:
+    """Run retrieval (+ fusion) over a whole cloud; returns its (N, C) float64 rows, one per point.
 
-    v1: output features are the full operator output per point.
-    v2: output features are [semantic | existing point features] only,
-    with no convolution (the input-level fusion strategy).
+    v1: the full operator output per point, over neighbor rows with no point
+    features (a scan carries none).
+    v2: the retrieved semantics only, with no convolution (the input-level
+    fusion strategy).
     """
     if mode not in ("v1", "v2"):
         raise ValueError(f"mode must be v1 or v2, got {mode!r}")
     pixels = project_points(cloud, calib, (fmap.height, fmap.width))
     semantic, sem_valid = retrieve_features(pixels, fmap)
     if mode == "v2":
-        feats = semantic if cloud.features is None else np.hstack([semantic, cloud.features])
-        return PointCloud._trusted(cloud.xyz, cloud.reflectance, feats)
+        return semantic
     if params is None:
         raise ValueError("v1 fusion requires operator parameters")
     nbr = knn_table(cloud.xyz, k, d)
-    nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=cloud.features)
-    fused, _ = pacf_forward(nf, params)
-    return PointCloud._trusted(cloud.xyz, cloud.reflectance, fused.values)
+    nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=None)
+    return pacf_forward(nf, params)[0].values
 
 
 def save_params(params: PacfParams, path) -> None:

@@ -145,8 +145,4 @@ def points_in_box(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
 
 def _take(cloud: PointCloud, idx: np.ndarray) -> PointCloud:
     """The rows `idx` of a cloud, C-contiguous; rows of a valid cloud need no second validation."""
-    return PointCloud._trusted(
-        cloud.xyz.take(idx, axis=0),
-        cloud.reflectance.take(idx),
-        None if cloud.features is None else cloud.features.take(idx, axis=0),
-    )
+    return PointCloud._trusted(cloud.xyz.take(idx, axis=0), cloud.reflectance.take(idx))

@@ -1,4 +1,4 @@
-"""Sparse segmentation supervision and the focal / total loss.
+"""Sparse segmentation supervision and the focal loss.
 
 Per-point foreground labels come straight from the 3D boxes (objects do
 not overlap in KITTI), and a sparse image-plane mask is obtained by
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import lidar_to_camera, nearest_pixel, points_in_box, project_points
+from .geometry import _affine_rows, lidar_to_camera, nearest_pixel, points_in_box, project_points
 from .kitti import CalibrationSet, write_pgm
 from .types import Box3D, PointCloud
 
@@ -105,7 +105,7 @@ def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[in
         (box.x + c * sx + s * sz, box.y + sy, box.z - s * sx + c * sz)
         for sx in (-l / 2, l / 2) for sy in (-h, 0.0) for sz in (-w / 2, w / 2)
     ])
-    hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
+    hom = _affine_rows(cam, calib.P2)
     front = hom[:, 2] >= NEAR_DEPTH
     if not front.any():
         return None
@@ -163,8 +163,3 @@ def focal_loss(
     interior = (pred > PROB_EPS) & (pred < 1.0 - PROB_EPS)
     grad.flat[idx[interior]] = dp[interior]
     return loss, grad, False
-
-
-def total_loss(det_loss: float, seg_loss: float, lam: float = 1.0) -> float:
-    """Detection loss plus weighted segmentation loss."""
-    return det_loss + lam * seg_loss

@@ -41,16 +41,14 @@ class FusionDims:
 
 @dataclass
 class PointCloud:
-    """Ordered 3D point set with per-point reflectance and optional features.
+    """Ordered 3D point set with per-point reflectance: what a velodyne scan holds.
 
     xyz: (N, 3) float array, LIDAR frame.
     reflectance: (N,) float array in [0, 1].
-    features: optional (N, C_lidar) finite float array.
     """
 
     xyz: np.ndarray
     reflectance: np.ndarray
-    features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
@@ -64,26 +62,16 @@ class PointCloud:
         # written so that NaN fails it: min and max of an array holding NaN are NaN
         if len(self.reflectance) and not (self.reflectance.min() >= 0.0 and self.reflectance.max() <= 1.0):
             raise ValueError("reflectance values must lie in [0, 1]")
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.ndim != 2 or len(self.features) != len(self.xyz):
-                raise ValueError("features must be an (N, C_lidar) array")
-            if not np.all(np.isfinite(self.features)):
-                raise ValueError("point features must be finite")
 
     @classmethod
-    def _trusted(cls, xyz: np.ndarray, reflectance: np.ndarray, features: np.ndarray | None = None) -> "PointCloud":
+    def _trusted(cls, xyz: np.ndarray, reflectance: np.ndarray) -> "PointCloud":
         """A cloud of arrays already in the validated form: float64, finite, reflectance in [0, 1]; no checks run."""
         cloud = object.__new__(cls)
-        cloud.xyz, cloud.reflectance, cloud.features = xyz, reflectance, features
+        cloud.xyz, cloud.reflectance = xyz, reflectance
         return cloud
 
     def __len__(self) -> int:
         return len(self.xyz)
-
-    @property
-    def c_lidar(self) -> int:
-        return 0 if self.features is None else self.features.shape[1]
 
 
 @dataclass

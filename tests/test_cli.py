@@ -167,6 +167,27 @@ def test_fuse_v2_row_shape(tmp_path, synthetic_frame):
     assert fused.data.shape == (512, 1, 1)  # c_seg only, no point features
 
 
+@pytest.mark.parametrize("mode", ["v1", "v2"])
+def test_fuse_writes_fuse_cloud_rows(synthetic_frame, capsys, monkeypatch, mode):
+    """The file holds fuse_cloud's rows cast to float32, one per sampled point, and stdout reports their shape."""
+    f = synthetic_frame
+    returned = []
+
+    def recording_fuse_cloud(*args, **kwargs):
+        returned.append(fuse_cloud(*args, **kwargs))
+        return returned[-1]
+
+    fuse_cloud = fusion.fuse_cloud
+    monkeypatch.setattr(fusion, "fuse_cloud", recording_fuse_cloud)
+    code, out = run(PREPARE_ARGV["fuse"](f) + ["--mode", mode, "--n-sample", 256, "--seed", 5], capsys)
+    assert code == cli.EXIT_OK and len(returned) == 1
+    rows = returned[0]
+    assert rows.dtype == np.float64 and rows.shape == ((256, 2 * 8 + 4) if mode == "v1" else (256, 1))
+    written = kitti.read_feature_map(f["dir"] / "o.pacf").data
+    assert written.dtype == np.float32 and written.tobytes() == rows.astype(np.float32).tobytes()
+    assert out.out == f"wrote 256 rows of width {rows.shape[1]} to {f['dir'] / 'o.pacf'}\n"
+
+
 def test_fuse_with_checkpoint(tmp_path, synthetic_frame):
     f = synthetic_frame
     params = fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=3, seed=5)

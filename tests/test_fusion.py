@@ -487,12 +487,12 @@ class TestRetrieval:
 class TestAssemble:
     def test_layout_and_ego_offset(self, rng):
         cloud = random_cloud(rng, 6)
-        cloud.features = rng.normal(size=(6, 2))
+        features = rng.normal(size=(6, 2))
         semantic = rng.normal(size=(6, 3))
         valid = np.ones(6, bool)
         valid[4] = False
         nbr = np.array([[i, (i + 1) % 6, (i + 2) % 6] for i in range(6)])
-        nf = fusion.assemble_neighbors(cloud, semantic, nbr, valid, point_features=cloud.features)
+        nf = fusion.assemble_neighbors(cloud, semantic, nbr, valid, point_features=features)
         assert nf.rows.shape == (6, 3, 3 + 2 + 3)
         # ego slot offset is exactly zero
         np.testing.assert_array_equal(nf.rows[:, 0, 5:], 0.0)
@@ -504,7 +504,7 @@ class TestAssemble:
         )
         # valid rows carry semantic then point features then offset
         np.testing.assert_allclose(nf.rows[0, 1, :3], semantic[1])
-        np.testing.assert_allclose(nf.rows[0, 1, 3:5], cloud.features[1])
+        np.testing.assert_allclose(nf.rows[0, 1, 3:5], features[1])
 
 
 def tied_frame(k, c_lidar, n=240, seed=8):
@@ -763,42 +763,46 @@ def _check_forward(params):
 
 
 class TestFuseCloud:
-    def test_v1_width(self, rng):
-        cloud = random_cloud(rng, 50)
-        fmap = FeatureMap(data=rng.uniform(0, 1, size=(32, 64, 2)))
-        calib = make_calib(cx=32.0, cy=16.0)
-        d_i = 2 + 0 + 3
-        params = fusion.init_params(fusion.MlpSpec.default(d_i, 4), k=3, seed=0)
-        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode="v1")
-        assert out.features.shape == (50, 2 * 4 + d_i)
-
-    def test_v2_semantic_concat(self, rng):
-        cloud = random_cloud(rng, 30)
-        cloud.features = rng.normal(size=(30, 4))
-        fmap = FeatureMap(data=rng.uniform(0, 1, size=(32, 64, 2)))
-        calib = make_calib(cx=32.0, cy=16.0)
-        out = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
-        assert out.features.shape == (30, 2 + 4)
-        np.testing.assert_array_equal(out.features[:, 2:], cloud.features)
-
-    def test_results_are_not_validated_again(self, rng, monkeypatch):
+    @pytest.fixture
+    def frame(self, rng):
+        """A cloud of which some points but not all project into the feature map, and their retrieved semantics."""
         cloud = random_cloud(rng, 40)
-        cloud.features = rng.normal(size=(40, 2))
         fmap = FeatureMap(data=rng.uniform(0, 1, size=(32, 64, 2)))
         calib = make_calib(cx=32.0, cy=16.0)
-        params = fusion.init_params(fusion.MlpSpec.default(2 + 2 + 3, 4), k=3, seed=0)
+        semantic, sem_valid = fusion.retrieve_features(geometry.project_points(cloud, calib, (32, 64)), fmap)
+        assert 0 < sem_valid.sum() < len(cloud)
+        return cloud, fmap, calib, semantic, sem_valid
+
+    def test_v1_rows_are_pacf_forward(self, frame):
+        """v1 returns pacf_forward's rows over neighbor rows that carry no point features."""
+        cloud, fmap, calib, semantic, sem_valid = frame
+        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0)
+        nf = fusion.assemble_neighbors(cloud, semantic, kdtree.knn_table(cloud.xyz, 3), sem_valid, None)
+        want = fusion.pacf_forward(nf, params)[0].values
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode="v1")
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == (40, 2 * 4 + 5) == want.shape
+        assert out.tobytes() == want.tobytes()
+
+    def test_v2_rows_are_retrieved_semantics(self, frame):
+        """v2 returns retrieve_features' vectors, zero rows for points outside the map included."""
+        cloud, fmap, calib, semantic, _ = frame
+        out = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == semantic.shape == (40, 2)
+        assert out.tobytes() == semantic.tobytes()
+
+    @pytest.mark.parametrize("mode", ["v1", "v2"])
+    def test_results_are_not_validated_again(self, frame, mode, monkeypatch):
+        cloud, fmap, calib, _, _ = frame
+        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0) if mode == "v1" else None
 
         def no_validation(self):
-            raise AssertionError("fuse_cloud ran the validation again on its result")
+            raise AssertionError("fuse_cloud built a validated cloud")
 
         monkeypatch.setattr(PointCloud, "__post_init__", no_validation)
-        v1 = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode="v1")
-        v2 = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
-        for out in (v1, v2):
-            assert out.xyz is cloud.xyz and out.reflectance is cloud.reflectance
-            assert out.features.dtype == np.float64
-        assert v1.features.shape == (40, 2 * 4 + 7)
-        np.testing.assert_array_equal(v2.features[:, 2:], cloud.features)
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode=mode)
+        assert len(out) == len(cloud)
 
     def test_bad_mode(self, rng):
         cloud = random_cloud(rng, 5)

@@ -137,7 +137,7 @@ class TestSubsample:
         assert len(set(idx.tolist())) == 60
 
     def test_cuts_are_not_validated_again(self, rng, monkeypatch):
-        cloud = PointCloud(xyz=rng.normal(size=(50, 3)), reflectance=rng.uniform(0, 1, 50), features=np.ones((50, 2)))
+        cloud = PointCloud(xyz=rng.normal(size=(50, 3)), reflectance=rng.uniform(0, 1, 50))
 
         def no_validation(self):
             raise AssertionError("a cut of a valid cloud ran the validation again")
@@ -149,7 +149,6 @@ class TestSubsample:
         rows = keep[idx]
         np.testing.assert_array_equal(sample.xyz, cloud.xyz[rows])
         np.testing.assert_array_equal(sample.reflectance, cloud.reflectance[rows])
-        np.testing.assert_array_equal(sample.features, cloud.features[rows])
 
 
 def _scalar_point_in_box(p_cam, box: Box3D) -> bool:
@@ -267,17 +266,52 @@ def test_projection_rows_are_batch_independent(n, calib, image_size):
         assert _bits(*(a[sub] for a in whole)) == _bits(*_projection_rows(xyz[sub], calib, image_size))
 
 
+def _reference_box_extent(box, calib, image_size):
+    """The pixel rectangle of a box wholly in front of the near plane, its corners projected by the transposed view."""
+    height, width = image_size
+    c, s = np.cos(box.ry), np.sin(box.ry)
+    cam = np.array([
+        (box.x + c * sx + s * sz, box.y + sy, box.z - s * sx + c * sz)
+        for sx in (-box.l / 2, box.l / 2) for sy in (-box.h, 0.0) for sz in (-box.w / 2, box.w / 2)
+    ])
+    hom = cam @ calib.P2[:, :3].T + calib.P2[:, 3]
+    assert (hom[:, 2] >= losses.NEAR_DEPTH).all()
+    u, v = hom[:, 0] / hom[:, 2], hom[:, 1] / hom[:, 2]
+    return (int(np.clip(np.floor(v.min()), 0, height)), int(np.clip(np.ceil(v.max()) + 1, 0, height)),
+            int(np.clip(np.floor(u.min()), 0, width)), int(np.clip(np.ceil(u.max()) + 1, 0, width)))
+
+
+@pytest.mark.parametrize("calib, image_size", [(KITTI_000000, (375, 1242)), (make_calib(), (64, 192))],
+                         ids=["kitti", "plain"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_box_extent_projects_corners_as_the_reference(seed, calib, image_size):
+    """A box in front of the near plane gets the rectangle of its 8 corners under the reference projection."""
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        x, y, z = rng.uniform((-25.0, 0.5, 6.0), (25.0, 2.5, 60.0))
+        h, w, l = rng.uniform(0.5, 4.0, size=3)
+        box = Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=rng.uniform(-np.pi, np.pi))
+        assert losses._box_image_extent(box, calib, image_size) == _reference_box_extent(box, calib, image_size)
+
+
+def test_box_behind_the_near_plane_has_no_extent():
+    behind = Box3D(x=1.0, y=1.5, z=-3.0, h=1.5, w=1.6, l=3.9, ry=0.3)  # depths -4.95 to -1.05 m
+    touching = Box3D(x=0.0, y=1.0, z=1.0 + losses.NEAR_DEPTH, h=1.0, w=2.0, l=2.0, ry=0.0)  # near face on the plane
+    for calib in (KITTI_000000, make_calib()):
+        assert losses._box_image_extent(behind, calib, (64, 192)) is None
+        assert losses._box_image_extent(touching, calib, (64, 192)) is not None
+
+
 def test_cuts_return_contiguous_arrays(rng):
     """Every cut the CLI makes (ROI, frustum, sample) hands the next stage C-contiguous rows."""
-    cloud = PointCloud(xyz=rng.uniform(-50, 80, size=(500, 3)), reflectance=rng.uniform(0, 1, size=500),
-                       features=rng.normal(size=(500, 2)))
+    cloud = PointCloud(xyz=rng.uniform(-50, 80, size=(500, 3)), reflectance=rng.uniform(0, 1, size=500))
     roi, _ = geometry.filter_region(cloud, geometry.RegionOfInterest())
     visible = np.nonzero(geometry.project_points(roi, make_calib(), (64, 192)).valid)[0]
     frustum = geometry._take(roi, visible)
     for n in (len(frustum) // 2, 2 * len(frustum)):
         sample, idx = geometry.subsample(frustum, n, seed=3)
         for cut in (roi, frustum, sample):
-            for a in (cut.xyz, cut.reflectance, cut.features):
+            for a in (cut.xyz, cut.reflectance):
                 assert a.flags.c_contiguous and a.flags.owndata
         np.testing.assert_array_equal(sample.xyz, frustum.xyz[idx])
-        np.testing.assert_array_equal(sample.features, frustum.features[idx])
+        np.testing.assert_array_equal(sample.reflectance, frustum.reflectance[idx])

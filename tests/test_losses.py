@@ -153,17 +153,6 @@ class TestFocalLossMatchesWholeMap:
         self._assert_same(_edge_predictions(rng, state), SparseMask(state=state), FocalLossConfig())
 
 
-class TestTotalLoss:
-    def test_sum(self):
-        assert losses.total_loss(1.0, 0.5, 1.0) == 1.5
-
-    def test_lambda_zero(self):
-        assert losses.total_loss(2.7, 99.0, 0.0) == 2.7
-
-    def test_det_zero(self):
-        assert losses.total_loss(0.0, 3.0, 0.5) == 1.5
-
-
 class TestLabelPoints:
     def test_no_boxes_all_bg(self, rng):
         cloud = PointCloud(xyz=rng.uniform(1, 50, size=(20, 3)), reflectance=np.zeros(20))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,18 +68,8 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="reflectance"):
             PointCloud(xyz=np.zeros((2, 3)), reflectance=np.array([0.5, np.nan]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_nonfinite_features_rejected(self, bad):
-        features = np.ones((2, 3))
-        features[1, 2] = bad
-        with pytest.raises(ValueError, match="features must be finite"):
-            PointCloud(xyz=np.zeros((2, 3)), reflectance=np.zeros(2), features=features)
-
-    def test_c_lidar(self):
-        cloud = PointCloud(
-            xyz=np.zeros((2, 3)), reflectance=np.zeros(2), features=np.ones((2, 5))
-        )
-        assert cloud.c_lidar == 5
+    def test_fields_are_what_a_scan_holds(self):
+        assert [f.name for f in dataclasses.fields(PointCloud)] == ["xyz", "reflectance"]
 
 
 class TestFeatureMap:
