@@ -211,8 +211,8 @@ def cmd_knn(args) -> int:
 def cmd_fuse(args) -> int:
     calib = kitti.read_calib(args.calib)
     fmap = _load_map(args.featuremap)
-    cloud = _prepare_cloud(args, calib, (fmap.height, fmap.width))
-    params = None
+    size = (fmap.height, fmap.width)
+    cloud = _prepare_cloud(args, calib, size)
     if args.mode == "v1":
         d_i = fmap.channels + 3  # semantic channels and the offset; a scan carries no point features
         if args.params:
@@ -229,7 +229,10 @@ def cmd_fuse(args) -> int:
                              f" = {fmap.channels} semantic + 0 point channels + 3)") from None
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
-        fused = fusion.fuse_cloud(cloud, fmap, calib, params, k=args.k, d=args.dist, mode=args.mode)
+        if args.mode == "v1":
+            fused = fusion.fuse_cloud(cloud, fmap, calib, params, k=args.k, d=args.dist)
+        else:  # input-level fusion: each point's retrieved semantics, with no operator
+            fused = fusion.retrieve_features(geometry.project_points(cloud, calib, size), fmap)[0]
         rows = fused.astype(np.float32)
     if not np.isfinite(rows).all():
         raise ValueError("the PACF operator's output overflows float32, the type of the output container")
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     except kitti.FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,7 @@ to a D_o vector; the operator output is the concatenation
     [ sum_k mlp(f'_k) | sum_k w_k * mlp(f'_k) | max_k f'_k ]
 
 of width 2*D_o + D_i. Forward and backward passes are implemented by
-hand in float64; gradients are exact reverse-mode, with the max-pool
+hand in float64; backward is exact backpropagation, with the max-pool
 routing gradient to the lowest argmax slot. The MLP runs once over the
 N*K neighbor rows as one (N*K, width) matrix: one GEMM per layer.
 
@@ -286,7 +286,7 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
 def pacf_backward(
     cache: _ForwardCache, params: PacfParams, grad_out: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients; uses up the cache.
+    """Exact gradients by backpropagation; uses up the cache.
 
     grad_out has shape (N, 2*D_o + D_i) matching the forward output.
     Returns (grad_weights, grad_biases, grad_aggr, grad_rows). The
@@ -367,26 +367,17 @@ def fuse_cloud(
     cloud: PointCloud,
     fmap: FeatureMap,
     calib: CalibrationSet,
-    params: PacfParams | None,
+    params: PacfParams,
     k: int = 3,
     d: float = np.inf,
-    mode: str = "v1",
 ) -> np.ndarray:
-    """Run retrieval (+ fusion) over a whole cloud; returns its (N, C) float64 rows, one per point.
+    """Run the PACF operator over a whole cloud; returns its (N, C) float64 rows, one per point.
 
-    v1: the full operator output per point, over neighbor rows with no point
+    Each point's neighbor rows carry its retrieved semantics and no point
     features (a scan carries none).
-    v2: the retrieved semantics only, with no convolution (the input-level
-    fusion strategy).
     """
-    if mode not in ("v1", "v2"):
-        raise ValueError(f"mode must be v1 or v2, got {mode!r}")
     pixels = project_points(cloud, calib, (fmap.height, fmap.width))
     semantic, sem_valid = retrieve_features(pixels, fmap)
-    if mode == "v2":
-        return semantic
-    if params is None:
-        raise ValueError("v1 fusion requires operator parameters")
     nbr = knn_table(cloud.xyz, k, d)
     nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=None)
     return pacf_forward(nf, params)[0].values

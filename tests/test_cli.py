@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pacfusion import cli, fusion, geometry, kitti, losses
+from pacfusion import cli, fusion, geometry, kdtree, kitti, losses
 from pacfusion.types import PointCloud
 
 
@@ -169,19 +169,35 @@ def test_fuse_v2_row_shape(tmp_path, synthetic_frame):
 
 @pytest.mark.parametrize("mode", ["v1", "v2"])
 def test_fuse_writes_fuse_cloud_rows(synthetic_frame, capsys, monkeypatch, mode):
-    """The file holds fuse_cloud's rows cast to float32, one per sampled point, and stdout reports their shape."""
+    """The file holds the fused rows cast to float32, one per sampled point, and stdout reports their shape.
+
+    v1's rows are fuse_cloud's; v2's are the retrieved semantics of the sampled points.
+    """
     f = synthetic_frame
-    returned = []
+    returned, sampled = [], []
 
     def recording_fuse_cloud(*args, **kwargs):
         returned.append(fuse_cloud(*args, **kwargs))
         return returned[-1]
 
-    fuse_cloud = fusion.fuse_cloud
+    def recording_subsample(*args, **kwargs):
+        sampled.append(subsample(*args, **kwargs))
+        return sampled[-1]
+
+    fuse_cloud, subsample = fusion.fuse_cloud, geometry.subsample
     monkeypatch.setattr(fusion, "fuse_cloud", recording_fuse_cloud)
+    monkeypatch.setattr(geometry, "subsample", recording_subsample)
     code, out = run(PREPARE_ARGV["fuse"](f) + ["--mode", mode, "--n-sample", 256, "--seed", 5], capsys)
-    assert code == cli.EXIT_OK and len(returned) == 1
-    rows = returned[0]
+    assert code == cli.EXIT_OK and len(sampled) == 1
+    if mode == "v1":
+        assert len(returned) == 1
+        rows = returned[0]
+    else:
+        assert not returned
+        fmap = kitti.read_feature_map(f["featuremap_path"])
+        pixels = geometry.project_points(sampled[0][0], f["calib"], (fmap.height, fmap.width))
+        rows = fusion.retrieve_features(pixels, fmap)[0]
+        assert 0 < np.count_nonzero(rows) < len(rows)
     assert rows.dtype == np.float64 and rows.shape == ((256, 2 * 8 + 4) if mode == "v1" else (256, 1))
     written = kitti.read_feature_map(f["dir"] / "o.pacf").data
     assert written.dtype == np.float32 and written.tobytes() == rows.astype(np.float32).tobytes()
@@ -403,6 +419,26 @@ def _missing_inputs_bev(f):
     return ["bev-render", f["dir"] / "no.bin", f["dir"] / "no.txt", f["dir"] / "no.pacf", "--out", f["dir"] / "o.ppm"]
 
 
+# Each MemoryError case's first large array takes between 2**60 and 2**63 bytes: more than any machine can
+# map, and less than numpy's size limit, past which numpy raises ValueError instead.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda f: PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 10**30],  # past a C long
+        lambda f: PREPARE_ARGV["fuse"](f) + ["--dout", 2**56],  # a (4, 2**56) float64 weight
+        lambda f: _maskgen_argv(f, f["labels_path"], "m") + ["--height", 2**30, "--width", 2**31],  # uint8 mask
+        lambda f: ["knn", f["velodyne"], "--k", 2**58 // len(f["cloud"])],  # an (N, k) int64 table
+        lambda f: ["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.ppm",
+                   "--roi", "0,1e8,-5e7,5e7,-1,3"],  # a (1e9, 1e9, 3) uint8 image
+    ],
+    ids=["fuse_n_sample", "fuse_dout", "maskgen_height_width", "knn_k", "bev_roi"],
+)
+def test_oversized_flag_exit_code(synthetic_frame, capsys, argv):
+    code, out = run(argv(synthetic_frame), capsys)
+    assert code == cli.EXIT_USAGE
+    assert out.err.startswith("error:") and "Traceback" not in out.err
+
+
 def test_dist_accepts_zero_and_inf():
     parser = cli.build_parser()
     for text, want in (("0", 0.0), ("inf", np.inf), ("2.5", 2.5)):
@@ -432,8 +468,14 @@ def test_fuse_v2_builds_no_operator(synthetic_frame, capsys, monkeypatch):
     def no_params(*args, **kwargs):
         raise AssertionError("fuse --mode v2 built operator parameters")
 
+    def no_operator(*args, **kwargs):
+        raise AssertionError("fuse --mode v2 ran the operator or the kNN")
+
     monkeypatch.setattr(fusion, "load_params", no_params)
     monkeypatch.setattr(fusion, "init_params", no_params)
+    for module, name in ((fusion, "fuse_cloud"), (fusion, "pacf_forward"), (fusion, "knn_table"),
+                         (kdtree, "knn_table")):
+        monkeypatch.setattr(module, name, no_operator)
     (f["dir"] / "o.pacf").unlink()
     # v2 never reads the checkpoint, so a file that is not one must not fail the run
     code, out = run(argv + ["--params", f["calib_path"]], capsys)

@@ -774,38 +774,23 @@ class TestFuseCloud:
         return cloud, fmap, calib, semantic, sem_valid
 
     def test_v1_rows_are_pacf_forward(self, frame):
-        """v1 returns pacf_forward's rows over neighbor rows that carry no point features."""
+        """fuse_cloud returns pacf_forward's rows over neighbor rows that carry no point features."""
         cloud, fmap, calib, semantic, sem_valid = frame
         params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0)
         nf = fusion.assemble_neighbors(cloud, semantic, kdtree.knn_table(cloud.xyz, 3), sem_valid, None)
         want = fusion.pacf_forward(nf, params)[0].values
-        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode="v1")
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3)
         assert type(out) is np.ndarray and out.dtype == np.float64
         assert out.shape == (40, 2 * 4 + 5) == want.shape
         assert out.tobytes() == want.tobytes()
 
-    def test_v2_rows_are_retrieved_semantics(self, frame):
-        """v2 returns retrieve_features' vectors, zero rows for points outside the map included."""
-        cloud, fmap, calib, semantic, _ = frame
-        out = fusion.fuse_cloud(cloud, fmap, calib, None, mode="v2")
-        assert type(out) is np.ndarray and out.dtype == np.float64
-        assert out.shape == semantic.shape == (40, 2)
-        assert out.tobytes() == semantic.tobytes()
-
-    @pytest.mark.parametrize("mode", ["v1", "v2"])
-    def test_results_are_not_validated_again(self, frame, mode, monkeypatch):
+    def test_results_are_not_validated_again(self, frame, monkeypatch):
         cloud, fmap, calib, _, _ = frame
-        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0) if mode == "v1" else None
+        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0)
 
         def no_validation(self):
             raise AssertionError("fuse_cloud built a validated cloud")
 
         monkeypatch.setattr(PointCloud, "__post_init__", no_validation)
-        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3, mode=mode)
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3)
         assert len(out) == len(cloud)
-
-    def test_bad_mode(self, rng):
-        cloud = random_cloud(rng, 5)
-        fmap = FeatureMap(data=np.zeros((4, 4, 1)))
-        with pytest.raises(ValueError):
-            fusion.fuse_cloud(cloud, fmap, make_calib(), None, mode="v3")
