@@ -5,6 +5,9 @@ Points inside a box are foreground; projecting them stamps a sparse
 supervision mask, and the focal loss is evaluated only on stamped pixels.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from pacfusion import (
@@ -42,5 +45,7 @@ for name, preds in [("uniform 0.5", uniform), ("confidently wrong", confident_wr
     loss, grad, _ = focal_loss(preds, mask, cfg)
     print(f"focal loss, {name}: {loss:.4f}")
 
-mask.to_pgm("mask_demo.pgm")
-print("wrote mask_demo.pgm (0 unsupervised / 128 background / 255 foreground)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mask_demo.pgm"
+    mask.to_pgm(path)
+    print(f"wrote {path} (0 unsupervised / 128 background / 255 foreground)")

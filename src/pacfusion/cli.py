@@ -73,10 +73,10 @@ def _bev_roi(text: str) -> geometry.RegionOfInterest:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the count and size flags: an integer >= 1."""
+    """argparse type of the count and size flags: an integer from 1 to 2**63 - 1, numpy's int64 size limit."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"must be from 1 to 2**63 - 1, got {value}")
     return value
 
 

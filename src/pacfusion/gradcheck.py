@@ -10,9 +10,35 @@ from .types import FusionDims
 FD_STEP = 1e-5
 
 
-def rel_error(analytic: float, numeric: float, floor: float = 1e-8) -> float:
-    denom = max(abs(analytic), abs(numeric), floor)
-    return abs(analytic - numeric) / denom
+def rel_error(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+
+
+def max_fd_error(objective, arrays, grads, probes) -> float:
+    """Largest rel_error of grads against central differences of objective().
+
+    probes(size) picks the flat entries of each C-contiguous array to move by +-FD_STEP;
+    each gets its own value back before the next, so objective() sees one entry moved.
+    """
+    worst = 0.0
+    for arr, grad in zip(arrays, grads):
+        flat, gflat = arr.ravel(), grad.ravel()
+        for j in probes(flat.size):
+            orig = flat[j]
+            flat[j] = orig + FD_STEP
+            f_plus = objective()
+            flat[j] = orig - FD_STEP
+            f_minus = objective()
+            flat[j] = orig
+            worst = max(worst, rel_error(gflat[j], (f_plus - f_minus) / (2 * FD_STEP)))
+    return worst
+
+
+def random_neighbors(rng: np.random.Generator, n: int, k: int, dims: FusionDims) -> fusion.NeighborFeatures:
+    """n points' k standard-normal neighbor rows; slot 0, the point itself, has a zero offset."""
+    rows = rng.normal(size=(n, k, dims.d_i))
+    rows[:, 0, dims.c_seg + dims.c_lidar :] = 0.0
+    return fusion.NeighborFeatures(rows=rows, valid=np.ones((n, k), dtype=bool), dims=dims)
 
 
 def random_instance(rng: np.random.Generator, k=3, c_seg=2, c_lidar=4, d_o=5, hidden=None):
@@ -21,46 +47,27 @@ def random_instance(rng: np.random.Generator, k=3, c_seg=2, c_lidar=4, d_o=5, hi
     widths = (dims.d_i, hidden or max(dims.d_i, d_o), d_o)
     params = fusion.init_params(fusion.MlpSpec(widths=widths), k, seed=int(rng.integers(1 << 30)))
     params.aggr_weights = rng.normal(size=k)
-    rows = rng.normal(size=(n, k, dims.d_i))
-    rows[:, 0, c_seg + c_lidar :] = 0.0  # ego offset
-    nf = fusion.NeighborFeatures(rows=rows, valid=np.ones((n, k), dtype=bool), dims=dims)
-    return nf, params
+    return random_neighbors(rng, n, k, dims), params
 
 
 def check_pacf_gradients(n_instances: int = 20, seed: int = 0) -> float:
-    """Max relative error over all MLP weights, biases and aggregation scalars."""
+    """Max relative error over all MLP weights, biases, aggregation scalars and neighbor rows."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
         nf, params = random_instance(rng)
         g_out = rng.normal(size=(nf.rows.shape[0], 2 * params.spec.d_o + nf.dims.d_i))
-
-        def objective() -> float:
-            out, _ = fusion.pacf_forward(nf, params)
-            return float(np.sum(out.values * g_out))
-
-        _, cache = fusion.pacf_forward(nf, params)
-        gw, gb, ga, grows = fusion.pacf_backward(cache, params, g_out)
-
-        arrays = [*params.weights, *params.biases, params.aggr_weights, nf.rows]
-        grads = [*gw, *gb, ga, grows]
-        for arr, grad in zip(arrays, grads):
-            flat, gflat = arr.ravel(), grad.ravel()
-            # probe a subset of coordinates per array to keep runtime bounded
-            probes = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
-            for j in probes:
-                orig = flat[j]
-                flat[j] = orig + FD_STEP
-                f_plus = objective()
-                flat[j] = orig - FD_STEP
-                f_minus = objective()
-                flat[j] = orig
-                numeric = (f_plus - f_minus) / (2 * FD_STEP)
-                worst = max(worst, rel_error(gflat[j], numeric))
+        gw, gb, ga, grows = fusion.pacf_backward(fusion.pacf_forward(nf, params)[1], params, g_out)
+        arrays, grads = [*params.weights, *params.biases, params.aggr_weights, nf.rows], [*gw, *gb, ga, grows]
+        objective = lambda: float(np.sum(fusion.pacf_forward(nf, params)[0].values * g_out))
+        # probe a subset of coordinates per array to keep runtime bounded
+        probes = lambda size: rng.choice(size, size=min(size, 6), replace=False)
+        worst = max(worst, max_fd_error(objective, arrays, grads, probes))
     return worst
 
 
 def check_focal_gradients(n_instances: int = 20, seed: int = 0) -> float:
+    """Max relative error of the focal loss gradient, every pixel probed."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
@@ -74,13 +81,5 @@ def check_focal_gradients(n_instances: int = 20, seed: int = 0) -> float:
             alpha=float(rng.uniform(0.1, 0.9)), gamma=float(rng.choice([0.0, 1.0, 2.0]))
         )
         _, grad, _ = losses.focal_loss(preds, mask, cfg)
-        for r in range(hh):
-            for c in range(ww):
-                preds[r, c] += FD_STEP
-                f_plus, _, _ = losses.focal_loss(preds, mask, cfg)
-                preds[r, c] -= 2 * FD_STEP
-                f_minus, _, _ = losses.focal_loss(preds, mask, cfg)
-                preds[r, c] += FD_STEP
-                numeric = (f_plus - f_minus) / (2 * FD_STEP)
-                worst = max(worst, rel_error(grad[r, c], numeric))
+        worst = max(worst, max_fd_error(lambda: losses.focal_loss(preds, mask, cfg)[0], [preds], [grad], range))
     return worst

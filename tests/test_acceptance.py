@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from pacfusion import cli, fusion, geometry, kdtree, kitti, losses
+from pacfusion.gradcheck import check_focal_gradients, check_pacf_gradients, random_neighbors
 from pacfusion.types import FeatureMap, FusionDims, PointCloud
 
 from conftest import make_calib
-from test_fusion import make_nf, naive_forward
+from test_fusion import naive_forward
 
 
 def report(name, ok):
@@ -44,7 +45,7 @@ def test_criterion_2_forward_oracle():
     while count < 50:
         d_o, c_seg, c_lidar = grids[count % len(grids)]
         dims = FusionDims(c_seg=c_seg, c_lidar=c_lidar, d_o=d_o)
-        nf = make_nf(rng, n=2, k=3, dims=dims)
+        nf = random_neighbors(rng, n=2, k=3, dims=dims)
         params = fusion.init_params(
             fusion.MlpSpec.default(dims.d_i, d_o), 3, seed=int(rng.integers(1 << 30))
         )
@@ -66,8 +67,6 @@ def test_criterion_2_forward_oracle():
 
 
 def test_criterion_3_gradient_checks():
-    from pacfusion.gradcheck import check_focal_gradients, check_pacf_gradients
-
     start = time.monotonic()
     pacf_err = check_pacf_gradients(n_instances=100, seed=303)
     focal_err = check_focal_gradients(n_instances=100, seed=303)
@@ -85,7 +84,7 @@ def test_criterion_4_algebraic_reductions():
     ok = True
     # all w_k = 1 collapses attentive aggregation onto the plain sum
     dims = FusionDims(c_seg=2, c_lidar=3, d_o=7)
-    nf = make_nf(rng, n=6, k=4, dims=dims)
+    nf = random_neighbors(rng, n=6, k=4, dims=dims)
     params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 4, seed=1)
     params.aggr_weights = np.ones(4)
     out, _ = fusion.pacf_forward(nf, params)
@@ -117,7 +116,7 @@ def test_criterion_6_permutation_properties():
     rng = np.random.default_rng(606)
     dims = FusionDims(c_seg=2, c_lidar=2, d_o=5)
     k = 4
-    nf = make_nf(rng, n=5, k=k, dims=dims)
+    nf = random_neighbors(rng, n=5, k=k, dims=dims)
     params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), k, seed=6)
     params.aggr_weights = rng.normal(size=k)
     base, _ = fusion.pacf_forward(nf, params)
@@ -148,7 +147,7 @@ def test_criterion_7_dimension_contract():
         dims = FusionDims(c_seg, c_lidar, d_o)
         ok &= dims.d_i == c_seg + c_lidar + 3
         for k in (1, 2, 3, 5):
-            nf = make_nf(rng, n=2, k=k, dims=dims)
+            nf = random_neighbors(rng, n=2, k=k, dims=dims)
             params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, d_o), k, seed=0)
             out, _ = fusion.pacf_forward(nf, params)
             ok &= out.values.shape[1] == 2 * d_o + dims.d_i

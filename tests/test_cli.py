@@ -397,11 +397,19 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--dout", 8], "--dout"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
+        # a count flag of 2**63 or more is past numpy's int64 sizes and indices
+        (lambda f: PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 10**30], "--n-sample"),
+        (lambda f: PREPARE_ARGV["maskgen"](f) + ["--n-sample", 2**63], "--n-sample"),
+        (lambda f: ["knn", f["velodyne"], "--k", 2**63], "--k"),
+        (lambda f: _missing_inputs_fuse(f) + ["--dout", 2**63], "--dout"),
+        (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 2**63, "--width", 5], "--height"),
+        (lambda f: ["gradcheck", "--instances", 2**63], "--instances"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
          "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
-         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_infinite"],
+         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_infinite",
+         "fuse_n_sample", "maskgen_n_sample_2_63", "knn_k_2_63", "dout_2_63", "height_2_63", "instances_2_63"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -424,19 +432,24 @@ def _missing_inputs_bev(f):
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda f: PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 10**30],  # past a C long
         lambda f: PREPARE_ARGV["fuse"](f) + ["--dout", 2**56],  # a (4, 2**56) float64 weight
         lambda f: _maskgen_argv(f, f["labels_path"], "m") + ["--height", 2**30, "--width", 2**31],  # uint8 mask
         lambda f: ["knn", f["velodyne"], "--k", 2**58 // len(f["cloud"])],  # an (N, k) int64 table
         lambda f: ["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.ppm",
                    "--roi", "0,1e8,-5e7,5e7,-1,3"],  # a (1e9, 1e9, 3) uint8 image
     ],
-    ids=["fuse_n_sample", "fuse_dout", "maskgen_height_width", "knn_k", "bev_roi"],
+    ids=["fuse_dout", "maskgen_height_width", "knn_k", "bev_roi"],
 )
 def test_oversized_flag_exit_code(synthetic_frame, capsys, argv):
     code, out = run(argv(synthetic_frame), capsys)
     assert code == cli.EXIT_USAGE
     assert out.err.startswith("error:") and "Traceback" not in out.err
+
+
+def test_largest_count_flag_runs(synthetic_frame, capsys):
+    f = synthetic_frame
+    code, out = run(["project", f["velodyne"], f["calib_path"], "--height", 2**63 - 1, "--width", 5], capsys)
+    assert code == cli.EXIT_OK and out.out.startswith("index,u,v,depth,valid\n")
 
 
 def test_dist_accepts_zero_and_inf():

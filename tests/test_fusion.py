@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from pacfusion import fusion, geometry, kdtree
 from pacfusion.geometry import PixelCoords
+from pacfusion.gradcheck import check_pacf_gradients, max_fd_error, random_instance, random_neighbors
 from pacfusion.kitti import FormatError
 from pacfusion.types import FeatureMap, FusionDims, PointCloud
 
@@ -114,12 +115,6 @@ def same_bits(a, b):
 BACKBONE = FusionDims(c_seg=4, c_lidar=128, d_o=64)
 
 
-def make_nf(rng, n, k, dims):
-    rows = rng.normal(size=(n, k, dims.d_i))
-    rows[:, 0, dims.c_seg + dims.c_lidar :] = 0.0
-    return fusion.NeighborFeatures(rows=rows, valid=np.ones((n, k), bool), dims=dims)
-
-
 class TestForward:
     def test_identity_network_k1(self):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=4)
@@ -146,7 +141,7 @@ class TestForward:
 
     def test_naive_oracle_k3(self, rng):
         dims = FusionDims(c_seg=2, c_lidar=3, d_o=4)
-        nf = make_nf(rng, n=5, k=3, dims=dims)
+        nf = random_neighbors(rng, n=5, k=3, dims=dims)
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=9)
         params.aggr_weights = rng.normal(size=3)
         out, _ = fusion.pacf_forward(nf, params)
@@ -155,7 +150,7 @@ class TestForward:
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_naive_oracle_backbone_width(self, rng, k):
-        nf = make_nf(rng, n=2, k=k, dims=BACKBONE)
+        nf = random_neighbors(rng, n=2, k=k, dims=BACKBONE)
         params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), k, seed=k)
         params.aggr_weights = rng.normal(size=k)
         for b in params.biases:
@@ -166,7 +161,7 @@ class TestForward:
 
     def test_shape_mismatch_message(self, rng):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=2)
-        nf = make_nf(rng, 2, 3, dims)
+        nf = random_neighbors(rng, 2, 3, dims)
         params = fusion.init_params(fusion.MlpSpec(widths=(5, 2)), 3, seed=0)
         with pytest.raises(ValueError, match="width"):
             fusion.pacf_forward(nf, params)
@@ -177,14 +172,14 @@ class TestForward:
     def test_output_width_independent_of_k(self, rng):
         dims = FusionDims(c_seg=2, c_lidar=2, d_o=5)
         for k in (1, 3, 7):
-            nf = make_nf(rng, 3, k, dims)
+            nf = random_neighbors(rng, 3, k, dims)
             params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), k, seed=1)
             out, _ = fusion.pacf_forward(nf, params)
             assert out.values.shape == (3, 2 * dims.d_o + dims.d_i)
 
     def test_permutation_invariance_sum_and_pool(self, rng):
         dims = FusionDims(c_seg=2, c_lidar=1, d_o=4)
-        nf = make_nf(rng, 4, 5, dims)
+        nf = random_neighbors(rng, 4, 5, dims)
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 5, seed=2)
         params.aggr_weights = np.full(5, 0.37)
         base, _ = fusion.pacf_forward(nf, params)
@@ -199,7 +194,7 @@ class TestForward:
 
     def test_permutation_invariance_backbone_width(self, rng):
         k = 5
-        nf = make_nf(rng, 64, k, BACKBONE)
+        nf = random_neighbors(rng, 64, k, BACKBONE)
         params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), k, seed=6)
         params.aggr_weights = np.full(k, 0.37)
         base, _ = fusion.pacf_forward(nf, params)
@@ -222,7 +217,7 @@ class TestForward:
 
     def test_permutation_changes_attentive_part(self, rng):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=3)
-        nf = make_nf(rng, 2, 3, dims)
+        nf = random_neighbors(rng, 2, 3, dims)
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=3)
         params.aggr_weights = np.array([0.1, 1.0, 5.0])
         base, _ = fusion.pacf_forward(nf, params)
@@ -235,7 +230,7 @@ class TestForward:
 
     def test_equal_weights_reduce_attentive_to_sum(self, rng):
         dims = FusionDims(c_seg=2, c_lidar=2, d_o=6)
-        nf = make_nf(rng, 5, 3, dims)
+        nf = random_neighbors(rng, 5, 3, dims)
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=4)
         params.aggr_weights = np.ones(3)
         out, _ = fusion.pacf_forward(nf, params)
@@ -248,7 +243,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream(self, rng):
         dims = FusionDims(c_seg=1, c_lidar=1, d_o=2)
-        nf = make_nf(rng, 3, 3, dims)
+        nf = random_neighbors(rng, 3, 3, dims)
         params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=5)
         _, cache = fusion.pacf_forward(nf, params)
         gw, gb, ga, grows = fusion.pacf_backward(
@@ -273,33 +268,24 @@ class TestBackward:
         assert ga[0] == pytest.approx(float(g_a @ rows[0, 0]))
 
     def test_finite_differences(self):
-        from pacfusion.gradcheck import check_pacf_gradients
-
         assert check_pacf_gradients(n_instances=20, seed=11) < 1e-4
 
     def test_finite_differences_wide_hidden(self):
-        from pacfusion.gradcheck import FD_STEP, random_instance, rel_error
-
+        # hidden 64 != D_i 23: backward writes grad_rows into a fresh buffer, not over the layer-1 activation
         rng = np.random.default_rng(21)
         nf, params = random_instance(rng, k=3, c_seg=4, c_lidar=16, d_o=8, hidden=64)
         g_out = rng.normal(size=(nf.rows.shape[0], nf.dims.d_i + 2 * params.spec.d_o))
-        _, cache = fusion.pacf_forward(nf, params)
-        gw, gb, _, _ = fusion.pacf_backward(cache, params, g_out)
+        gw, gb, ga, grows = fusion.pacf_backward(fusion.pacf_forward(nf, params)[1], params, g_out)
 
         def objective() -> float:
             return float(np.sum(fusion.pacf_forward(nf, params)[0].values * g_out))
 
-        worst = 0.0
-        for arr, grad in zip([*params.weights, *params.biases], [*gw, *gb]):
-            flat, gflat = arr.ravel(), grad.ravel()
-            for j in rng.choice(flat.size, size=min(flat.size, 40), replace=False):
-                orig = flat[j]
-                flat[j] = orig + FD_STEP
-                f_plus = objective()
-                flat[j] = orig - FD_STEP
-                f_minus = objective()
-                flat[j] = orig
-                worst = max(worst, rel_error(gflat[j], (f_plus - f_minus) / (2 * FD_STEP)))
+        worst = max_fd_error(
+            objective,
+            [*params.weights, *params.biases, params.aggr_weights, nf.rows],
+            [*gw, *gb, ga, grows],
+            lambda size: rng.choice(size, size=min(size, 40), replace=False),
+        )
         assert worst < 1e-6
 
     def test_maxpool_tie_routes_to_lowest_slot(self):
@@ -341,7 +327,7 @@ class TestBackwardUsesCache:
     def _forward(k, n=5, hidden=(7,), seed=3):
         dims = FusionDims(c_seg=1, c_lidar=2, d_o=4)  # D_i = 6, output width 14
         rng = np.random.default_rng([seed, k])
-        nf = make_nf(rng, n, k, dims)
+        nf = random_neighbors(rng, n, k, dims)
         params = fusion.init_params(fusion.MlpSpec(widths=(dims.d_i, *hidden, dims.d_o)), k, seed=seed)
         params.aggr_weights = rng.normal(size=k)
         grad_out = rng.normal(size=(n, 2 * dims.d_o + dims.d_i))
@@ -404,7 +390,7 @@ class TestBackwardUsesCache:
         """At train-step widths (135, 135, 64) grad_rows takes the cached layer-1 activation's buffer, so
         backward allocates little beyond one block; a hidden width other than D_i allocates grad_rows fresh."""
         rng = np.random.default_rng(4)
-        nf = make_nf(rng, 4096, 3, BACKBONE)
+        nf = random_neighbors(rng, 4096, 3, BACKBONE)
         params = fusion.init_params(fusion.MlpSpec(widths=(BACKBONE.d_i, hidden, BACKBONE.d_o)), 3, seed=4)
         grad_out = rng.normal(size=(4096, 2 * BACKBONE.d_o + BACKBONE.d_i))
         _, cache = fusion.pacf_forward(nf, params)
@@ -422,7 +408,7 @@ class TestBackwardUsesCache:
     def test_forward_allocates_only_its_outputs_and_cache(self):
         """At train-step widths, forward holds the layer-1 activation, the MLP output, the values and the argmax, and little more."""
         rng = np.random.default_rng(4)
-        nf = make_nf(rng, 4096, 3, BACKBONE)
+        nf = random_neighbors(rng, 4096, 3, BACKBONE)
         params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), 3, seed=4)
         tracemalloc.start()
         try:
@@ -564,7 +550,7 @@ class TestReferenceBits:
     @pytest.mark.parametrize("hidden", [None, (17, 9, 31)], ids=["in_place", "three_hidden"])
     def test_one_point_tail_at_k1_matches_references(self, hidden):
         """One row past two whole blocks: backward's layer-0 GEMM must take it into the last block."""
-        nf = make_nf(np.random.default_rng(11), 2 * fusion._BLOCK + 1, 1, BACKBONE)
+        nf = random_neighbors(np.random.default_rng(11), 2 * fusion._BLOCK + 1, 1, BACKBONE)
         self._check_forward_and_backward(nf, hidden)
 
     @staticmethod
