@@ -111,7 +111,7 @@ _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), d
 def _csv_rows(*columns: np.ndarray) -> str:
     """Comma-separated lines, one per row of the equal-length 1-D columns.
 
-    An int or bool column prints as `%d`, a float column as `%.6f`, each cell
+    A signed int or bool column prints as `%d`, a float column as `%.6f`, each cell
     byte for byte as `%` prints it. Every cell goes into one (rows, width)
     byte matrix, with NUL bytes where a cell is narrower than its column, and
     the NULs are dropped once at the end.
@@ -124,8 +124,6 @@ def _csv_rows(*columns: np.ndarray) -> str:
 
 def _column_cells(col: np.ndarray) -> np.ndarray:
     """(rows, width) bytes of one column's cells; a NUL byte prints nothing."""
-    if col.dtype.kind == "u":
-        return _integer_cells(np.zeros(len(col), dtype=bool), col.astype(np.uint64, copy=False))
     if col.dtype.kind in "bi":
         v = col.astype(np.int64, copy=False)
         return _integer_cells(v < 0, np.abs(v).view(np.uint64))  # as uint64, |int64 min| is 2**63
@@ -159,8 +157,6 @@ def _integer_cells(neg: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Cells of a '-' where `neg` and the digits of the magnitudes m >= 0, leading zeros as NUL."""
     top = int(m.max()) if len(m) else 0
     n = len(str(top))
-    if top < 2**31:
-        m = m.astype(np.int32)
     cells = np.empty((len(m), n + 1), dtype=np.uint8)
     cells[:, 0] = neg * np.uint8(ord("-"))
     # digit k from the right is printed where m >= 10**k; the units digit always is

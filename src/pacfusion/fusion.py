@@ -296,7 +296,9 @@ def pacf_backward(
     run pacf_forward again. params must have the k and widths the forward
     ran with, or ValueError is raised before the cache is touched.
     cache.rows and cache.argmax remain, and the caller's neighbor rows are
-    never written.
+    never written. grad_weights[0], one product summed over all N*K rows,
+    may differ in its last bits with the BLAS thread count; the other
+    results do not.
     """
     if cache.y_cc_k is None:
         raise ValueError("this forward cache was used by an earlier pacf_backward; run pacf_forward again")

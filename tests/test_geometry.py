@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -35,6 +36,15 @@ class TestProjection:
         assert px.u[0] == pytest.approx(50.0)
         assert px.v[0] == pytest.approx(50.0)
         assert px.depth[0] == pytest.approx(2.0)
+
+    def test_image_is_half_open(self):
+        """u = 0 and v = 0 lie in the image; u = W and v = H do not."""
+        calib = make_calib(f=100.0, cx=96.0, cy=32.0)
+        # LIDAR (25, y, z) projects exactly to u = 96 - 4 y, v = 32 - 4 z
+        px = geometry.project_points(_cloud([[25, 24, 0], [25, 0, 8], [25, -24, 0], [25, 0, -8]]), calib, (64, 192))
+        np.testing.assert_array_equal(px.u, [0, 96, 192, 96])
+        np.testing.assert_array_equal(px.v, [32, 0, 32, 64])
+        np.testing.assert_array_equal(px.valid, [True, True, False, False])
 
     def test_pinhole_formula_oracle(self, rng):
         f, cx, cy = 120.0, 60.0, 40.0
@@ -167,9 +177,12 @@ def _scalar_point_in_box(p_cam, box: Box3D) -> bool:
 
 class TestPointInBox:
     BOX = Box3D(x=0, y=0, z=0, h=2, w=2, l=2, ry=0)
+    # one point on each face of BOX; the box is closed
+    ON_FACES = np.array([(1, -1, 0), (-1, -1, 0), (0, -1, 1), (0, -1, -1), (0, 0, 0), (0, -2, 0)], dtype=float)
 
     def test_interior(self):
         assert geometry.points_in_box((0, -1, 0), self.BOX)[0]
+        assert geometry.points_in_box(self.ON_FACES, self.BOX).all()
 
     def test_far_outside(self):
         assert not geometry.points_in_box((10, 0, 0), self.BOX)[0]
@@ -192,6 +205,8 @@ class TestPointInBox:
 
     def test_just_outside(self):
         assert not geometry.points_in_box((1.4, -1, 0), self.BOX)[0]
+        beyond = np.nextafter(self.ON_FACES, 2 * self.ON_FACES - (0, -1, 0))  # one step away from the centre
+        assert not geometry.points_in_box(beyond, self.BOX).any()
 
     def test_vectorized_matches_scalar(self, rng):
         box = Box3D(x=1, y=2, z=10, h=1.5, w=1.7, l=4, ry=0.7)
@@ -285,13 +300,20 @@ def _reference_box_extent(box, calib, image_size):
                          ids=["kitti", "plain"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_box_extent_projects_corners_as_the_reference(seed, calib, image_size):
-    """A box in front of the near plane gets the rectangle of its 8 corners under the reference projection."""
+    """A box in front of the near plane gets the rectangle of its 8 corners under the reference projection.
+
+    A DontCare box with a size <= 0 gets the rectangle of the same box with that size 1.0.
+    """
     rng = np.random.default_rng(seed)
-    for _ in range(500):
+    for i in range(500):
         x, y, z = rng.uniform((-25.0, 0.5, 6.0), (25.0, 2.5, 60.0))
         h, w, l = rng.uniform(0.5, 4.0, size=3)
         box = Box3D(x=x, y=y, z=z, h=h, w=w, l=l, ry=rng.uniform(-np.pi, np.pi))
         assert losses._box_image_extent(box, calib, image_size) == _reference_box_extent(box, calib, image_size)
+        size = "hwl"[i % 3]
+        degenerate = dataclasses.replace(box, dontcare=True, **{size: 0.0 if i % 2 else -1.0})
+        unit = dataclasses.replace(box, **{size: 1.0})
+        assert losses._box_image_extent(degenerate, calib, image_size) == _reference_box_extent(unit, calib, image_size)
 
 
 def test_box_behind_the_near_plane_has_no_extent():

@@ -157,12 +157,12 @@ class TestCalib:
             )
 
     def test_non_orthonormal_rejected(self):
-        with pytest.raises(kitti.FormatError, match="R0_rect"):
-            kitti.CalibrationSet(
-                P2=np.zeros((3, 4)),
-                R0_rect=np.eye(3) * 2.0,
-                Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
-            )
+        """R0_rect R0_rect^T may deviate from the identity by 1e-3 at most."""
+        tr = np.hstack([np.eye(3), np.zeros((3, 1))])
+        for r0 in (np.eye(3) * 2.0, np.diag([np.sqrt(1 + 2e-3), 1.0, 1.0])):
+            with pytest.raises(kitti.FormatError, match="R0_rect"):
+                kitti.CalibrationSet(P2=np.zeros((3, 4)), R0_rect=r0, Tr_velo_to_cam=tr)
+        kitti.CalibrationSet(P2=np.zeros((3, 4)), R0_rect=np.diag([np.sqrt(1 + 4e-4), 1.0, 1.0]), Tr_velo_to_cam=tr)
 
 
 class TestLabels:
