@@ -23,16 +23,6 @@ EXIT_VERIFY = 3
 BEV_RESOLUTION = 0.1  # meters per pixel
 
 
-def _load_map(path) -> "kitti.FeatureMap":
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == kitti.FEATUREMAP_MAGIC:
-        return kitti.read_feature_map(path)
-    if head[:2] == b"P5":
-        return kitti.read_pgm_mask(path)
-    raise kitti.FormatError(f"{path}: neither a PACF container nor a P5 PGM")
-
-
 def _prepare_cloud(args, calib, image_size) -> PointCloud:
     """ROI crop, then camera-frustum filter, then seeded subsampling.
 
@@ -206,7 +196,7 @@ def cmd_knn(args) -> int:
 
 def cmd_fuse(args) -> int:
     calib = kitti.read_calib(args.calib)
-    fmap = _load_map(args.featuremap)
+    fmap = kitti.read_feature_map(args.featuremap)
     size = (fmap.height, fmap.width)
     cloud = _prepare_cloud(args, calib, size)
     if args.mode == "v1":
@@ -267,7 +257,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bev_render(args) -> int:
     calib = kitti.read_calib(args.calib)
-    fmap = _load_map(args.featuremap)
+    fmap = kitti.read_feature_map(args.featuremap)
     cloud = kitti.read_velodyne(args.velodyne)
     roi = args.roi
     cloud, _ = geometry.filter_region(cloud, roi)

@@ -10,13 +10,10 @@ Supported formats
   (type, truncation, occlusion, alpha, 2D bbox, h w l, x y z, ry, ...).
 * Feature-map container: magic ``PACF``, version u16, H/W/C u32, then
   H*W*C little-endian float32 values, row-major, channel-minor.
-* Grayscale PGM (P5, maxval 255) as an alternative single-channel mask,
-  rescaled to [0, 1].
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from pathlib import Path
 
@@ -184,36 +181,6 @@ def read_feature_map(path) -> FeatureMap:
         return FeatureMap(data=np.frombuffer(raw, dtype="<f4", offset=18).reshape(h, w, c))
     except ValueError as exc:
         raise FormatError(f"feature-map container: {exc}") from None
-
-
-# the magic token at byte 0, then width, height and maxval, each after whitespace and comments, then
-# one whitespace byte; a comment must reach a newline or the end, so no token can backtrack into one
-_PGM_SPACE = rb"(?:\s|#[^\n]*(?=\n|\Z))*"
-_PGM_HEADER = re.compile(rb"(\S*)(?:" + 3 * (_PGM_SPACE + rb"(\d+)(?!\S)") + rb"\s?)?")
-
-
-def read_pgm_mask(path) -> FeatureMap:
-    """Read a binary PGM (P5, maxval 255) as a single-channel map in [0, 1]."""
-    raw = Path(path).read_bytes()
-    header = _PGM_HEADER.match(raw)
-    if header[1] != b"P5":
-        raise FormatError("PGM mask: expected binary P5 header")
-    if header[2] is None:
-        raise FormatError("PGM mask: malformed or truncated header")
-    try:
-        width, height, maxval = map(int, header.group(2, 3, 4))
-    except ValueError:  # more digits than int() converts (4,300 by default)
-        raise FormatError("PGM mask: header number has too many digits") from None
-    if maxval != 255:
-        raise FormatError(f"PGM mask: expected maxval 255, got {maxval}")
-    payload = raw[header.end() : header.end() + width * height]
-    if len(payload) != width * height:
-        raise FormatError("PGM mask: truncated payload")
-    try:
-        grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-        return FeatureMap(data=(grid / 255.0)[:, :, None])
-    except ValueError as exc:
-        raise FormatError(f"PGM mask: {exc}") from None
 
 
 def write_pgm(grid: np.ndarray, path) -> None:

@@ -28,6 +28,15 @@ def write_calib_file(path, f=100.0, cx=96.0, cy=32.0):
     path.write_text("\n".join(lines) + "\n")
 
 
+def read_p5(path, height, width) -> np.ndarray:
+    """The uint8 grid of a binary PGM, whose header must be exactly `kitti.write_pgm`'s."""
+    raw = path.read_bytes()
+    header = f"P5\n{width} {height}\n255\n".encode()
+    assert raw[: len(header)] == header
+    assert len(raw) == len(header) + height * width
+    return np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(height, width)
+
+
 def random_cloud(rng, n, lo=(0.0, -40.0, -1.0), hi=(70.4, 40.0, 3.0)):
     xyz = rng.uniform(lo, hi, size=(n, 3))
     return PointCloud(xyz=xyz, reflectance=rng.uniform(0, 1, size=n))

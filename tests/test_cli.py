@@ -14,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 from pacfusion import cli, fusion, geometry, kdtree, kitti, losses
 from pacfusion.types import PointCloud
 
+from conftest import read_p5
+
 
 def run(argv, capsys=None):
     code = cli.main([str(a) for a in argv])
@@ -321,26 +323,19 @@ NAN_CALIB = (
 @pytest.mark.parametrize(
     "bad_file, contents",
     [
-        ("featuremap_path", b"P5\n12"),  # PGM header cut inside the width
-        ("featuremap_path", b"P5\n-1 -1\n255\n\x00"),
         ("calib_path", b"P2: 721.5 abc 0 0 0 1 0 0 0 0 1 0\n"),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 2, 2, 0)),
         ("velodyne", struct.pack("<4f", 10, 0, 0, 0.5) + struct.pack("<4f", 12, 0, 0, 1.5)),
         ("calib_path", NAN_CALIB.replace(b"P2: 100", b"P2: nan")),
         ("calib_path", NAN_CALIB.replace(b"R0_rect: 1", b"R0_rect: nan")),
-        ("featuremap_path", b"P5\n0 0\n255\n"),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 0, 5, 4)),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 5, 0, 4)),
         ("calib_path", NAN_CALIB.replace(b"nan", b"1") + b"calib_time: \xff\n"),
-        ("featuremap_path", b"P5\n" + b"1" * 4301 + b" 1\n255\n\x00"),
         ("calib_path", NAN_CALIB.replace(b"Tr_velo_to_cam: 0 -1 0 0", b"Tr_velo_to_cam: 0 -1 0 1e308")),
-        ("featuremap_path", b"P5 0 99999999999999999999 255\n"),
         ("featuremap_path", kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, 0, 2**31, 2**31)),
     ],
-    ids=["pgm_truncated_header", "pgm_negative_size", "calib_non_numeric", "pacf_zero_channels",
-         "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0", "pgm_zero_size", "pacf_zero_height",
-         "pacf_zero_width", "calib_not_utf8", "pgm_long_number", "calib_huge_translation", "pgm_zero_by_huge",
-         "pacf_zero_by_huge"],
+    ids=["calib_non_numeric", "pacf_zero_channels", "velodyne_reflectance", "calib_nan_p2", "calib_nan_r0",
+         "pacf_zero_height", "pacf_zero_width", "calib_not_utf8", "calib_huge_translation", "pacf_zero_by_huge"],
 )
 def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, contents):
     f = synthetic_frame
@@ -351,6 +346,18 @@ def test_fuse_malformed_input_exit_code(synthetic_frame, capsys, bad_file, conte
     )
     assert code == cli.EXIT_FORMAT
     assert out.err.startswith("format error:")
+
+
+def test_pgm_feature_map_is_format_error(synthetic_frame, capsys):
+    """A well-formed P5 PGM, as `maskgen` writes it, is no feature map: PACF is the only format."""
+    f = synthetic_frame
+    pgm = f["dir"] / "mask.pgm"
+    kitti.write_pgm(np.full((64, 192), 255, dtype=np.uint8), pgm)
+    for argv in (["fuse", f["velodyne"], f["calib_path"], pgm, "--out", f["dir"] / "o.pacf"],
+                 ["bev-render", f["velodyne"], f["calib_path"], pgm, "--out", f["dir"] / "o.ppm"]):
+        code, out = run(argv, capsys)
+        assert (code, out.err) == (cli.EXIT_FORMAT, "format error: feature-map container: bad magic\n")
+    assert not (f["dir"] / "o.pacf").exists() and not (f["dir"] / "o.ppm").exists()
 
 
 PREPARE_ARGV = {
@@ -403,6 +410,7 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4,8,5", "--dout", 3], "--dout"),
         (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--dout", 8], "--dout"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
+        (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.045,-40,40,-1,3"], "--roi"),  # 0.45 px rounds to none
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
         # a count flag of 2**63 or more is past numpy's int64 sizes and indices
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 10**30], "--n-sample"),
@@ -415,8 +423,9 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
          "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
          "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
-         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_infinite",
-         "fuse_n_sample", "maskgen_n_sample_2_63", "knn_k_2_63", "dout_2_63", "height_2_63", "instances_2_63"],
+         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_under_half_pixel",
+         "bev_roi_infinite", "fuse_n_sample", "maskgen_n_sample_2_63", "knn_k_2_63", "dout_2_63", "height_2_63",
+         "instances_2_63"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -518,8 +527,8 @@ def test_maskgen_outputs(tmp_path, capsys, synthetic_frame):
         capsys,
     )
     assert code == cli.EXIT_OK
-    mask = kitti.read_pgm_mask(out_mask)
-    assert mask.data.shape == (64, 192, 1)
+    mask = read_p5(out_mask, 64, 192)
+    assert set(np.unique(mask).tolist()) <= {0, 128, 255}
     lines = out_labels.read_text().strip().splitlines()
     assert lines[0] == "index,x,y,z,foreground"
     assert len(lines) == 513
@@ -620,8 +629,8 @@ def test_maskgen_clears_dontcare_extent(synthetic_frame):
     )
     assert run(_maskgen_argv(f, f["labels_path"], "plain")) == cli.EXIT_OK
     assert run(_maskgen_argv(f, dc_path, "dc")) == cli.EXIT_OK
-    plain = kitti.read_pgm_mask(f["dir"] / "plain.pgm").data[:, :, 0]
-    cleared = kitti.read_pgm_mask(f["dir"] / "dc.pgm").data[:, :, 0]
+    plain = read_p5(f["dir"] / "plain.pgm", 64, 192)
+    cleared = read_p5(f["dir"] / "dc.pgm", 64, 192)
     dc_box = kitti.read_labels(dc_path)[-1]
     assert dc_box.dontcare
     r0, r1, c0, c1 = losses._box_image_extent(dc_box, f["calib"], (64, 192))
@@ -641,8 +650,8 @@ def test_maskgen_clips_dontcare_at_the_near_plane(synthetic_frame):
     dc_path.write_text(f["labels_path"].read_text() + "DontCare -1 -1 -10 0 0 10 10 2 10 2 3 1 2 0\n")
     assert run(_maskgen_argv(f, f["labels_path"], "plain")) == cli.EXIT_OK
     assert run(_maskgen_argv(f, dc_path, "near")) == cli.EXIT_OK
-    plain = kitti.read_pgm_mask(f["dir"] / "plain.pgm").data[:, :, 0]
-    cleared = kitti.read_pgm_mask(f["dir"] / "near.pgm").data[:, :, 0]
+    plain = read_p5(f["dir"] / "plain.pgm", 64, 192)
+    cleared = read_p5(f["dir"] / "near.pgm", 64, 192)
     # in front of the camera the box spans u from 96 + 100 * 2 / 7 (its far inner edge)
     # past the right image edge, and v past both image edges
     c0 = int(np.floor(96 + 100 * 2 / 7))
@@ -702,6 +711,41 @@ def test_bev_render_matches_loop(synthetic_frame):
     want = render(range(len(cloud)))
     assert want != render(reversed(range(len(cloud))))  # the frame has cells where the winner matters
     assert out_path.read_bytes() == want
+
+
+def _bev_render_default_roi(f) -> np.ndarray:
+    """`bev-render`'s (704, 800, 3) image of the frame over the default ROI."""
+    out_path = f["dir"] / "bev.ppm"
+    assert run(["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", out_path]) == cli.EXIT_OK
+    header = b"P6\n800 704\n255\n"
+    raw = out_path.read_bytes()
+    assert raw.startswith(header)
+    return np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(704, 800, 3)
+
+
+def test_bev_render_clips_points_on_the_lower_bounds(synthetic_frame):
+    """The ROI's lower x and y bounds are closed: points on them land in the last row and column."""
+    f = synthetic_frame
+    scan = kitti.read_velodyne(f["velodyne"])
+    xyz = np.vstack((scan.xyz, [(0.0, 5.0, 0.5), (20.0, -40.0, 0.5)]))
+    kitti.write_velodyne(PointCloud(xyz=xyz, reflectance=np.resize(scan.reflectance, len(xyz))), f["velodyne"])
+    img = _bev_render_default_roi(f)
+    # a stamped pixel has green 64; x = 0 is row 704 before the clip, y = -40 column 800
+    assert np.flatnonzero(img[703, :, 1]).tolist() == [350]
+    assert np.flatnonzero(img[:, 799, 1]).tolist() == [504]
+
+
+def test_bev_render_all_zero_map(synthetic_frame):
+    """On an all-zero map every stamped pixel takes the zero colour, with no 0/0."""
+    f = synthetic_frame
+    kitti.write_feature_map(kitti.FeatureMap(data=np.zeros((64, 192, 1), dtype=np.float32)), f["featuremap_path"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pixels = _bev_render_default_roi(f).reshape(-1, 3)
+    stamped = pixels[pixels[:, 1] == 64]
+    assert len(stamped) > 100
+    assert (stamped == (0, 64, 255)).all()
+    assert not pixels[pixels[:, 1] != 64].any()
 
 
 def test_seed_determinism(tmp_path, synthetic_frame):

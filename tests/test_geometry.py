@@ -128,6 +128,9 @@ class TestSubsample:
         cloud = _cloud(rng.normal(size=(5, 3)))
         out, idx = geometry.subsample(cloud, 5, seed=1)
         assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
+        # n == count draws without replacement too: a seeded permutation, not the identity order
+        np.testing.assert_array_equal(idx, np.random.default_rng(1).choice(5, size=5, replace=False))
+        assert idx.tolist() != [0, 1, 2, 3, 4]
 
     def test_upsampling_keeps_all(self, rng):
         cloud = _cloud(rng.normal(size=(3, 3)))

@@ -36,3 +36,9 @@ def test_focal_check_perturbs_one_prediction_at_a_time(monkeypatch):
         assert gradcheck.check_focal_gradients(n_instances=20, seed=seed) < 1e-4
     assert len(unperturbed) == 100 and len(changed) > 100
     assert max(changed) == 1
+
+
+def test_rel_error_floor():
+    """Below 1e-8 the denominator is the floor, so a tiny gradient cannot pass the check by scale alone."""
+    assert gradcheck.rel_error(0.0, 1e-10) == 1e-2
+    assert gradcheck.rel_error(2.0, 1.0) == 0.5

@@ -5,7 +5,7 @@ from pacfusion import geometry, losses
 from pacfusion.losses import BACKGROUND, FOREGROUND, PROB_EPS, UNSUPERVISED, FocalLossConfig, SparseMask
 from pacfusion.types import Box3D, PointCloud
 
-from conftest import make_calib
+from conftest import make_calib, read_p5
 
 
 def _mask_single(state_val, h=1, w=1):
@@ -298,11 +298,8 @@ class TestSparseMask:
         assert mask.state[10, 20] == UNSUPERVISED
 
     def test_pgm_export(self, tmp_path):
-        from pacfusion import kitti
-
-        state = np.array([[UNSUPERVISED, BACKGROUND], [FOREGROUND, FOREGROUND]], dtype=np.uint8)
-        mask = SparseMask(state=state)
+        state = np.array([[UNSUPERVISED, BACKGROUND, FOREGROUND], [FOREGROUND, FOREGROUND, UNSUPERVISED]])
+        mask = SparseMask(state=state.astype(np.uint8))
         path = tmp_path / "mask.pgm"
         mask.to_pgm(path)
-        back = kitti.read_pgm_mask(path)
-        np.testing.assert_allclose(back.data[:, :, 0] * 255, [[0, 128], [255, 255]])
+        np.testing.assert_array_equal(read_p5(path, 2, 3), [[0, 128, 255], [255, 255, 0]])

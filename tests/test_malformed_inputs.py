@@ -4,7 +4,7 @@ One hypothesis strategy per reader makes mutated bytes of its format:
 truncations and byte flips, bad magic and headers, non-finite and
 out-of-range fields, and huge declared sizes. Each case runs through the
 reader and through `cli.main`, with the command's other inputs valid:
-`fuse` for the scan, calibration, feature maps and checkpoint, `maskgen`
+`fuse` for the scan, calibration, feature map and checkpoint, `maskgen`
 for the labels.
 """
 
@@ -34,7 +34,6 @@ _rng = np.random.default_rng(3)
 SCAN = kitti.encode_velodyne(PointCloud(_rng.uniform([5, -10, -1], [40, 10, 2], (200, 3)), _rng.uniform(0, 1, 200)))
 FMAP = FeatureMap(_rng.uniform(0, 1, (H, W, 2)).astype(np.float32))
 PACF = kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, H, W, 2) + FMAP.data.astype("<f4").tobytes()
-PGM = f"P5\n{W} {H}\n255\n".encode() + _rng.integers(0, 256, H * W, dtype=np.uint8).tobytes()
 # rows of the frame: 2 semantic + 0 point channels + 3 = 5
 PACW_WIDTHS, PACW_K = (5, 6, 4), 3
 
@@ -152,21 +151,6 @@ def pacf_bytes(draw):
     return draw(_mutate(raw, 18))
 
 
-@st.composite
-def pgm_bytes(draw):
-    """A P5 PGM: the valid mask, or a drawn header with comments, CR/VT/FF, signs, huge sizes and odd maxvals."""
-    if draw(st.booleans()):
-        return draw(_mutate(PGM, 15))
-    space = st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\n# comment\n", b" #c\r\n", b""])
-    number = st.sampled_from([b"1", b"2", b"3", b"0", b"+2", b"-1", b"02", b"2#", str(2**32).encode(), b"9" * 30])
-    magic = draw(st.sampled_from([b"P5"] * 4 + [b"P2", b"P5x", b"#P5", b"P"]))
-    w, h = draw(number), draw(number)
-    maxval = draw(st.sampled_from([b"255"] * 4 + [b"0255", b"256", b"0", b"65535"]))
-    raw = magic + draw(space) + w + draw(space) + h + draw(space) + maxval + draw(space)
-    raw += bytes(draw(st.integers(0, 9)))
-    return draw(_mutate(raw, len(raw)))
-
-
 def _check_cloud(cloud):
     assert np.isfinite(cloud.xyz).all() and ((cloud.reflectance >= 0) & (cloud.reflectance <= 1)).all()
 
@@ -186,17 +170,12 @@ def _check_map(fmap):
     assert min(fmap.data.shape) >= 1 and np.isfinite(fmap.data).all()
 
 
-def _check_pgm(fmap):
-    assert fmap.data.shape[2] == 1 and ((fmap.data >= 0) & (fmap.data <= 1)).all()
-
-
 CASES = {
     # reader, its strategy, the check of a valid result, the CLI command on the mutated file
     "velodyne": (kitti.read_velodyne, velodyne_bytes(), _check_cloud, lambda d, p: _fuse(d, velodyne=p)),
     "calib": (kitti.read_calib, calib_bytes(), _check_calib, lambda d, p: _fuse(d, calib=p)),
     "labels": (kitti.read_labels, labels_bytes(), _check_boxes, _maskgen),
     "pacf": (kitti.read_feature_map, pacf_bytes(), _check_map, lambda d, p: _fuse(d, featuremap=p)),
-    "pgm": (kitti.read_pgm_mask, pgm_bytes(), _check_pgm, lambda d, p: _fuse(d, featuremap=p)),
 }
 
 
