@@ -5,8 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pacfusion import kitti
+from pacfusion import fusion, kitti
 from pacfusion.types import FeatureMap
+
+
+def _pacf(h, w, c, payload=None, version=kitti.FEATUREMAP_VERSION) -> bytes:
+    """A PACF container built by hand: the header, then `payload` (zeros by default) as float32 LE."""
+    values = np.zeros(h * w * c) if payload is None else payload
+    return kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", version, h, w, c) + np.asarray(values, "<f4").tobytes()
 
 
 class TestVelodyne:
@@ -267,6 +273,60 @@ class TestFeatureMapContainer:
         path = tmp_path / "m.pacf"
         path.write_bytes(kitti.FEATUREMAP_MAGIC + struct.pack("<HIII", 1, *dims))
         with pytest.raises(kitti.FormatError, match="^feature-map container: "):
+            kitti.read_feature_map(path)
+
+    @pytest.mark.parametrize(
+        "dims, values",
+        [((1, 1, 1), None), ((1, 5, 1), None), ((5, 1, 1), None), ((2, 3, 4), None),
+         ((1, 1, 4), [-0.0, np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max,
+                      np.finfo(np.float32).min])],
+        ids=["1x1x1", "row_1x5x1", "column_5x1x1", "2x3x4", "edge_values"],
+    )
+    def test_header_accepted(self, tmp_path, dims, values):
+        """Hand-built bytes read as the module docstring lays them out: row-major, channel-minor, bits kept."""
+        payload = np.arange(np.prod(dims)) if values is None else values
+        path = tmp_path / "m.pacf"
+        path.write_bytes(_pacf(*dims, payload=payload))
+        data = kitti.read_feature_map(path).data
+        assert data.shape == dims and data.dtype == np.float32
+        assert data.tobytes() == np.asarray(payload, dtype="<f4").tobytes()
+        h, w, c = dims
+        i, j, k = h - 1, w - 1, c - 1
+        assert data[i, j, k] == np.float32(payload[(i * w + j) * c + k])
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [(b"", "bad magic"),
+         (b"PACF", "bad magic"),
+         (_pacf(1, 1, 1)[:17], "bad magic"),  # one byte short of the 18-byte header
+         (b"pacf" + _pacf(1, 1, 1)[4:], "bad magic"),
+         (fusion.PARAMS_MAGIC + _pacf(1, 1, 1)[4:], "bad magic"),  # a checkpoint is no feature map
+         (b"P5\n2 1\n255\n\x00\xff", "bad magic"),
+         (b" " + _pacf(1, 1, 1), "bad magic"),  # the magic starts the file
+         (_pacf(1, 1, 1, version=0), "unsupported version 0"),
+         (_pacf(1, 1, 1, version=2)[:18], "unsupported version 2"),  # the version is checked before the size
+         (b"PACF" + struct.pack(">H", 1) + _pacf(1, 1, 1)[6:], "unsupported version 256"),
+         (_pacf(1, 1, 1)[:18], "payload is 0 bytes, expected 4"),
+         (_pacf(2, 2, 1)[:-1], "payload is 15 bytes, expected 16"),
+         (_pacf(2, 2, 1) + b"\x00", "payload is 17 bytes, expected 16"),
+         (_pacf(2, 2, 1) + b"\x00" * 4, "payload is 20 bytes, expected 16"),
+         (b"PACF" + struct.pack("<H", 1) + struct.pack(">III", 1, 1, 1) + b"\x00" * 4, f"payload is 4 bytes, expected {4 * 2**72}"),
+         (b"PACF" + struct.pack("<HIII", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1), f"payload is 0 bytes, expected {4 * (2**32 - 1) ** 3}"),
+         (_pacf(1, 1, 0), "feature map needs at least one channel"),
+         (_pacf(0, 3, 1), "feature map needs height and width >= 1, got 0x3"),
+         (_pacf(3, 0, 1), "feature map needs height and width >= 1, got 3x0"),
+         (_pacf(1, 1, 2, payload=[0.5, np.nan]), "feature map values must be finite"),
+         (_pacf(1, 1, 2, payload=[np.inf, 0.5]), "feature map values must be finite"),
+         (_pacf(1, 1, 2, payload=[0.5, -np.inf]), "feature map values must be finite")],
+        ids=["empty", "magic_only", "header_17_bytes", "lowercase_magic", "checkpoint_magic", "p5_pgm",
+             "magic_at_offset_1", "version_0", "version_2", "big_endian_version", "header_only", "short_by_one_byte",
+             "trailing_byte", "extra_value", "big_endian_dims", "u32_max_dims", "zero_channels", "zero_height",
+             "zero_width", "nan_value", "inf_value", "minus_inf_value"],
+    )
+    def test_header_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "m.pacf"
+        path.write_bytes(raw)
+        with pytest.raises(kitti.FormatError, match=f"^{re.escape(f'feature-map container: {message}')}$"):
             kitti.read_feature_map(path)
 
     def test_roundtrip_random_dims(self, tmp_path, rng):
