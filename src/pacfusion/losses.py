@@ -44,9 +44,12 @@ class SparseMask:
         return self.state != UNSUPERVISED
 
     def to_pgm(self, path) -> None:
-        """Export for inspection: 0 unsupervised, 128 background, 255 foreground."""
-        levels = np.array([0, 128, 255], dtype=np.uint8)
-        write_pgm(levels.take(self.state), path)
+        """Export for inspection: 0 unsupervised, 128 background, 255 foreground; any other state is a ValueError."""
+        state = self.state
+        for value in (state.min(initial=UNSUPERVISED), state.max(initial=UNSUPERVISED)):
+            if not UNSUPERVISED <= value <= FOREGROUND:
+                raise ValueError(f"mask state {value} is not {UNSUPERVISED}, {BACKGROUND} or {FOREGROUND}")
+        write_pgm(state * np.uint8(127) + (state != UNSUPERVISED), path)
 
 
 def label_points(cloud: PointCloud, boxes: list[Box3D], calib: CalibrationSet) -> np.ndarray:
@@ -75,11 +78,16 @@ def make_sparse_mask(
     height, width = image_size
     state = np.full((height, width), UNSUPERVISED, dtype=np.uint8)
     pixels = project_points(cloud, calib, image_size)
-    idx = np.nonzero(pixels.valid)[0]
-    order = idx[np.lexsort((idx, pixels.depth[idx]))]  # nearest first, lower index on ties
-    rows, cols = nearest_pixel(pixels.u[order], pixels.v[order], image_size)
-    flat, first = np.unique(rows * width + cols, return_index=True)  # first point per pixel
-    state.flat[flat] = np.where(np.asarray(labels)[order[first]], FOREGROUND, BACKGROUND)
+    idx = np.flatnonzero(pixels.valid)
+    keys = np.ravel_multi_index(nearest_pixel(pixels.u[idx], pixels.v[idx], image_size), image_size)
+    by_pixel = np.argsort(keys, kind="stable")  # one sort: by pixel, in index order within a pixel
+    keys, order = keys[by_pixel], idx[by_pixel]
+    depth = pixels.depth[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each pixel's first point
+    nearest = np.repeat(np.minimum.reduceat(depth, starts), np.diff(starts, append=len(keys)))
+    hits = np.flatnonzero(depth == nearest)  # points at their pixel's nearest depth
+    first = hits[np.flatnonzero(np.diff(keys[hits], prepend=-1))]  # the lowest index among them
+    state.flat[keys[first]] = np.where(np.asarray(labels)[order[first]], FOREGROUND, BACKGROUND)
     for box in dontcare_boxes or []:
         rect = _box_image_extent(box, calib, image_size)
         if rect is not None:

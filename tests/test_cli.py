@@ -760,6 +760,34 @@ def test_seed_determinism(tmp_path, synthetic_frame):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_main_is_reentrant(synthetic_frame, capsys):
+    """A second round of commands in one process prints and writes what the first did, with one parser built."""
+    f = synthetic_frame
+    sequence = [
+        (PREPARE_ARGV["fuse"](f) + ["--mode", "v2"], ["o.pacf"]),
+        (PREPARE_ARGV["maskgen"](f), ["m.pgm", "m.csv"]),
+        (["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 192], []),
+        (PREPARE_ARGV["maskgen"](f) + ["--n-sample", 0], []),
+        (["maskgen", "--help"], []),
+        (["nonsense"], []),
+    ]
+    cli._parser.cache_clear()
+    rounds = []
+    for _ in range(2):
+        results = []
+        for argv, outputs in sequence:
+            for name in outputs:
+                (f["dir"] / name).unlink(missing_ok=True)
+            code, out = run(argv, capsys)
+            results.append((code, out.out, out.err, [(f["dir"] / name).read_bytes() for name in outputs]))
+        rounds.append(results)
+    assert [r[0] for r in rounds[0]] == [cli.EXIT_OK] * 3 + [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_USAGE]
+    assert "--n-sample: must be from 1" in rounds[0][3][2] and rounds[0][4][1].startswith("usage: pacfusion maskgen")
+    assert rounds[1] == rounds[0]
+    assert cli._parser.cache_info().misses == 1  # build_parser ran once across both rounds
+    assert cli.build_parser() is not cli.build_parser()
+
+
 @pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                     reason="numpy's BLAS is not OpenBLAS, so OPENBLAS_NUM_THREADS sets no thread count")
 def test_outputs_do_not_depend_on_blas_threads(synthetic_frame):

@@ -303,3 +303,11 @@ class TestSparseMask:
         path = tmp_path / "mask.pgm"
         mask.to_pgm(path)
         np.testing.assert_array_equal(read_p5(path, 2, 3), [[0, 128, 255], [255, 255, 0]])
+
+    @pytest.mark.parametrize("dtype, value", [(np.uint8, 3), (np.uint8, 255), (np.int8, -1), (np.int64, 256)])
+    def test_pgm_export_rejects_a_bad_state(self, tmp_path, dtype, value):
+        state = np.array([[UNSUPERVISED, FOREGROUND], [value, BACKGROUND]], dtype=dtype)
+        path = tmp_path / "mask.pgm"
+        with pytest.raises(ValueError, match=rf"^mask state {value} is not 0, 1 or 2$"):
+            SparseMask(state=state).to_pgm(path)
+        assert not path.exists()
