@@ -45,21 +45,15 @@ class RegionOfInterest:
             raise ValueError("ROI bounds must satisfy min < max per axis")
 
 
-_ROWS = 4096  # rows per projection product: a block this small runs on one OpenBLAS thread
-
-
 def _affine_rows(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """rows @ m[:, :3].T for (N, 3) rows, plus the offset column m[:, 3] when m is 3x4.
 
     The product takes a C-contiguous copy of m[:, :3].T, which is about 2x faster
     than the transposed view, gives every N >= 2 the view's bits, and gives a row the
-    same bits alone as in any batch (tests/test_geometry.py pins both), so it runs in
-    blocks of _ROWS rows. The offset is added in place.
+    same bits alone as in any batch (tests/test_geometry.py pins both). The offset is
+    added in place.
     """
-    t = np.ascontiguousarray(m[:, :3].T)
-    out = np.empty((len(rows), 3))
-    for start in range(0, len(rows), _ROWS):
-        np.matmul(rows[start : start + _ROWS], t, out=out[start : start + _ROWS])
+    out = rows @ np.ascontiguousarray(m[:, :3].T)
     if m.shape[1] == 4:
         out += m[:, 3]
     return out

@@ -46,6 +46,8 @@ class SparseMask:
     def to_pgm(self, path) -> None:
         """Export for inspection: 0 unsupervised, 128 background, 255 foreground; any other state is a ValueError."""
         state = self.state
+        if state.dtype.kind not in "biu":
+            raise ValueError(f"mask state dtype {state.dtype} is not an integer type")
         for value in (state.min(initial=UNSUPERVISED), state.max(initial=UNSUPERVISED)):
             if not UNSUPERVISED <= value <= FOREGROUND:
                 raise ValueError(f"mask state {value} is not {UNSUPERVISED}, {BACKGROUND} or {FOREGROUND}")

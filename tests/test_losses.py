@@ -304,10 +304,17 @@ class TestSparseMask:
         mask.to_pgm(path)
         np.testing.assert_array_equal(read_p5(path, 2, 3), [[0, 128, 255], [255, 255, 0]])
 
-    @pytest.mark.parametrize("dtype, value", [(np.uint8, 3), (np.uint8, 255), (np.int8, -1), (np.int64, 256)])
-    def test_pgm_export_rejects_a_bad_state(self, tmp_path, dtype, value):
+    @pytest.mark.parametrize("dtype, value, message", [
+        (np.uint8, 3, "mask state 3 is not 0, 1 or 2"),
+        (np.uint8, 255, "mask state 255 is not 0, 1 or 2"),
+        (np.int8, -1, "mask state -1 is not 0, 1 or 2"),
+        (np.int64, 256, "mask state 256 is not 0, 1 or 2"),
+        (np.float64, 1.5, "mask state dtype float64 is not an integer type"),
+        (np.float32, 1.0, "mask state dtype float32 is not an integer type"),
+    ])
+    def test_pgm_export_rejects_a_bad_state(self, tmp_path, dtype, value, message):
         state = np.array([[UNSUPERVISED, FOREGROUND], [value, BACKGROUND]], dtype=dtype)
         path = tmp_path / "mask.pgm"
-        with pytest.raises(ValueError, match=rf"^mask state {value} is not 0, 1 or 2$"):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             SparseMask(state=state).to_pgm(path)
         assert not path.exists()
