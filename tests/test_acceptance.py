@@ -27,7 +27,7 @@ def test_criterion_1_knn_oracle_equivalence():
     ok = True
     for k in (1, 3, 5, 10):
         for d in (np.inf, 2.0):
-            for t in targets:
+            for t in np.vstack([targets, pts]):  # off-cloud targets are searched, own points read from a table
                 got = kdtree.knn_query(tree, t, k, d)
                 want = kdtree.knn_brute(pts, t, k, d)
                 ok &= np.array_equal(got.indices, want.indices)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -35,22 +36,31 @@ def test_brute_rejects_zero_points():
         knn_brute(np.zeros((0, 3)), (0, 0, 0), 2)
 
 
-def test_k_zero_rejected():
+@pytest.mark.parametrize("k", [0, -2])
+def test_k_zero_rejected(k):
     tree = KdTree(np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        knn_query(tree, (0, 0, 0), k=0)
-    with pytest.raises(ValueError):
-        knn_brute(np.zeros((1, 3)), (0, 0, 0), k=0)
+    for target in ((0, 0, 0), (1, 0, 0)):  # the tree's own point, read from a table, and another point
+        for _ in range(2):  # a failed check leaves no table behind that a second query could read
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                knn_query(tree, target, k)
+    assert not tree._tables
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        knn_brute(np.zeros((1, 3)), (0, 0, 0), k)
 
 
-@pytest.mark.parametrize("d", [np.nan, -0.2, -np.inf], ids=["nan", "negative", "minus_inf"])
+@pytest.mark.parametrize("d", [np.nan, -0.2, -np.inf, -1], ids=["nan", "negative", "minus_inf", "minus_one"])
 def test_bad_radius_rejected(d):
     pts = np.array([[0, 0, 0], [0.1, 0, 0], [5, 0, 0]], dtype=float)
-    with pytest.raises(ValueError, match="radius"):
-        knn_query(KdTree(pts), (0, 0, 0), 2, d)
-    with pytest.raises(ValueError, match="radius"):
+    message = f"^{re.escape(f'radius d must be >= 0, got {float(d)}')}$"
+    tree = KdTree(pts)
+    for target in ((0, 0, 0), (1, 0, 0)):  # the tree's own point, read from a table, and another point
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                knn_query(tree, target, 2, d)
+    assert not tree._tables
+    with pytest.raises(ValueError, match=message):
         knn_brute(pts, (0, 0, 0), 2, d)
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match=message):
         knn_table(pts, 2, d)
 
 
@@ -131,6 +141,21 @@ def test_query_order_equivalence(rng, make, order):
     rank = {"own_points_first": ~own, "off_cloud_first": own,
             "interleaved": np.where(own, np.cumsum(own), np.cumsum(~own))}[order]
     _assert_queries_match_brute(pts, targets[np.argsort(rank, kind="stable")], ks, ds)
+
+
+@_CASES
+def test_table_of_many_blocks_matches_brute(rng, monkeypatch, make):
+    # a table is searched _BLOCK points at a time in Morton order; blocks this small split every cloud, and
+    # 1,000 uniform points end in a one-point block of 3 and a six-point block of 7
+    pts, _, ks, ds = make(rng)
+    for k in ks:
+        for d in ds:
+            want = [knn_brute(pts, p, k, d) for p in pts]
+            for block in (3, 7, 64):
+                monkeypatch.setattr(kdtree, "_BLOCK", block)
+                idx, dist = KdTree(pts).table(k, d)
+                assert np.array_equal(idx, [w.indices for w in want]), (block, k, d)
+                assert dist.tobytes() == np.array([w.distances for w in want]).tobytes(), (block, k, d)
 
 
 @st.composite
@@ -292,3 +317,55 @@ def test_determinism(rng):
     b = knn_query(KdTree(pts), t, 5)
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.distances, b.distances)
+
+
+def _same(got, want):
+    return np.array_equal(got.indices, want.indices) and got.distances.tobytes() == want.distances.tobytes()
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (3, 2.0), (np.int64(3), 2.0), (np.int32(3), np.float32(2)),
+                                  (np.array(3), np.array(2.0)), (np.array(3), 2)],
+                         ids=["ints", "int_float", "np_int", "np_32", "0d_arrays", "0d_k"])
+@pytest.mark.parametrize("first", ["hit", "miss"])
+def test_k_and_d_of_any_number_type_on_hit_and_miss(k, d, first):
+    pts = _lattice_5()
+    tree = KdTree(pts)
+    targets = [pts[31], pts[31] + 0.25] if first == "hit" else [pts[31] + 0.25, pts[31]]
+    for t in targets:
+        assert _same(knn_query(tree, t, k, d), knn_brute(pts, t, int(k), float(d))), t
+    assert np.array_equal(knn_table(pts, k, d), knn_table(pts, int(k), float(d)))
+
+
+def test_equal_k_and_d_share_one_table():
+    pts = _lattice_5()
+    tree = KdTree(pts)
+    for k, d in [(3, 5), (np.int64(3), 5.0), (3, np.float64(5)), (np.array(3), np.array(5))]:
+        assert _same(knn_query(tree, pts[7], k, d), knn_brute(pts, pts[7], 3, 5.0))
+    assert len(tree._tables) == 1
+
+
+def test_signed_zero_target_finds_the_same_neighbors():
+    # a row's key is its bytes, so -0.0 and +0.0 differ there: a mismatch takes the one-row search instead
+    pts = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 2.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+    tree = KdTree(pts)
+    for t in ([0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [0.0, -0.0, 2.0], [0.0, 0.0, -0.0], *pts):
+        for k in (1, 2, 5):
+            assert _same(knn_query(tree, t, k), knn_brute(pts, t, k)), (t, k)
+
+
+@pytest.mark.parametrize("form", [list, lambda t: tuple(int(c) for c in t), lambda t: t.reshape(1, 3),
+                                  lambda t: np.asfortranarray(np.tile(t, (4, 1)))[2]],
+                         ids=["list", "int_tuple", "row_matrix", "strided_view"])
+def test_target_forms_hit_the_table(form):
+    pts = np.asfortranarray(_lattice_5())  # also a cloud given in column-major order
+    for i in (62, 31):
+        tree = KdTree(pts)
+        assert _same(knn_query(tree, form(pts[i]), 4), knn_brute(pts, pts[i], 4)), i
+        assert list(tree._tables) == [(4, np.inf)], i  # answered from the table, not by a one-row search
+
+
+@pytest.mark.parametrize("target", [(2, 2, 2, 2), [[2.0, 2.0, 2.0, 0.0]], (2.0, 2.0), 2.0])
+def test_target_of_other_than_three_coordinates_rejected(target):
+    tree = KdTree(_lattice_5())
+    with pytest.raises(ValueError):
+        knn_query(tree, target, 3)

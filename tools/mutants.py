@@ -24,7 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CLI, GEOMETRY, KITTI, LOSSES = (f"src/pacfusion/{name}.py" for name in ("cli", "geometry", "kitti", "losses"))
+CLI, GEOMETRY, KDTREE, KITTI, LOSSES = (f"src/pacfusion/{name}.py"
+                                        for name in ("cli", "geometry", "kdtree", "kitti", "losses"))
 
 MUTANTS = [
     # the image's right and bottom edges are open
@@ -42,8 +43,21 @@ MUTANTS = [
     (KITTI, ".max() > _MAX_ABS:", ".max() >= 2 * _MAX_ABS:", ["tests/test_kitti_io.py"], None),
     (KITTI, "if len(fields) < 15:", "if len(fields) < 14:", ["tests/test_kitti_io.py"], None),
     ("src/pacfusion/gradcheck.py", "abs(numeric), 1e-8)", "abs(numeric), 1e-2)", ["tests/test_gradcheck.py"], None),
-    ("src/pacfusion/kdtree.py", "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
+    (KDTREE, "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
      ["tests/test_kdtree.py"], "for k > _WINDOW no radius bound is taken, so the search is slower, the table the same"),
+    # every block of a table is searched; the cube reaches r past the target; a level's z and y cells are the
+    # finest cells shifted right by the level, clipped to the finest maximum; each run starts at the cube's x
+    (KDTREE, "rows = self.morton_order[start:start + _BLOCK]", "rows = self.morton_order[:_BLOCK]",
+     ["tests/test_kdtree.py"], None),
+    (KDTREE, "_cells(targets + reach[:, None],", "_cells(targets + reach[:, None] / 2,", ["tests/test_kdtree.py"], None),
+    (KDTREE, "shift = level - fine", "shift = level - fine + 1", ["tests/test_kdtree.py"], None),
+    (KDTREE, "self.most = self.cells.max(axis=0)", "self.most = self.cells.max(axis=0) - 1", ["tests/test_kdtree.py"],
+     None),
+    (KDTREE, "first = np.searchsorted(keys, base | lo[q, 0])", "first = np.searchsorted(keys, base | lo[q, 0] + 1)",
+     ["tests/test_kdtree.py"], None),
+    # k and d are checked once per table, before it is built
+    (KDTREE, "k, d2max = _check_query(k, d)\n", "k, d2max = operator.index(k), float(d) ** 2\n",
+     ["tests/test_kdtree.py"], None),
     (LOSSES, "front = hom[:, 2] >= NEAR_DEPTH", "front = hom[:, 2] > NEAR_DEPTH", ["tests/test_geometry.py"],
      "a corner exactly on the near plane becomes its own crossing, the same point"),
     # a PACF header fault is named exactly: a short header, extra payload bytes
