@@ -51,7 +51,7 @@ run("maskgen", tmp / "frame.bin", tmp / "calib.txt", tmp / "labels.txt", "--heig
 
 print("== fuse, operator mid-pipeline (v1) ==")
 run("fuse", tmp / "frame.bin", tmp / "calib.txt", tmp / "semantic.pacf",
-    "--mode", "v1", "--dout", 8, "--out", tmp / "fused_v1.pacf", *common)
+    "--mode", "v1", "--out", tmp / "fused_v1.pacf", *common)
 
 print("== fuse, input-level concat (v2) ==")
 run("fuse", tmp / "frame.bin", tmp / "calib.txt", tmp / "semantic.pacf",

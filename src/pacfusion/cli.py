@@ -179,6 +179,8 @@ def cmd_project(args) -> int:
 
 def cmd_knn(args) -> int:
     cloud = kitti.read_velodyne(args.velodyne)
+    if len(cloud) == 0:
+        raise ValueError(f"{args.velodyne}: 0 points")
     idx = kdtree.knn_table(cloud.xyz, args.k, args.dist)
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
     sys.stdout.write(_csv_rows(np.arange(len(cloud)), *idx.T))
@@ -205,8 +207,7 @@ def cmd_fuse(args) -> int:
         if args.params:
             params = fusion.load_params(args.params)
         else:
-            spec = args.mlp or fusion.MlpSpec.default(d_i, args.dout or 8)
-            params = fusion.init_params(spec, args.k, seed=args.seed)
+            params = fusion.init_params(args.mlp or fusion.MlpSpec.default(d_i, 8), args.k, seed=args.seed)
         # check the operator fits before the per-point kNN queries
         try:
             params.check_fit(args.k, d_i)
@@ -217,7 +218,7 @@ def cmd_fuse(args) -> int:
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         if args.mode == "v1":
-            fused = fusion.fuse_cloud(cloud, fmap, calib, params, k=args.k, d=args.dist)
+            fused = fusion.fuse_cloud(cloud, fmap, calib, params, args.dist)
         else:  # input-level fusion: each point's retrieved semantics, with no operator
             fused = fusion.retrieve_features(geometry.project_points(cloud, calib, size), fmap)[0]
         rows = fused.astype(np.float32)
@@ -316,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("featuremap")
     operator = p.add_mutually_exclusive_group()
     operator.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
-    operator.add_argument("--mlp", type=_mlp_spec, default=None, help="layer widths of the random init")
-    # None, not 8: argparse counts a flag as given only when its value is not the default object
-    operator.add_argument("--dout", type=_positive_int, default=None, help="output width of the default MLP (8)")
+    operator.add_argument("--mlp", type=_mlp_spec, default=None, help="layer widths of the random init (default D_i,max(D_i,8),8)")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     _add_common(p)

@@ -24,19 +24,19 @@ grad_rows is the one (N*K, width) array backward allocates. A second
 backward on the same cache raises ValueError. The first layer's input is
 the caller's neighbor rows, which are never written. The max-pool caches
 one slot per (point, channel), and backward routes the pooled gradient
-into those slots with one scatter.
+into those slots with one scatter per block.
 
-The elementwise passes run over blocks of _BLOCK points (K * _BLOCK MLP
-rows), so each pass finds its operands in L2 instead of streaming the
-whole (N*K, width) array from memory once per pass: the hidden layers'
-bias and ReLU; then, per block of points, the output bias, both slot sums,
-the max-pool and its argmax, written straight into the output rows; and
-in backward, the max-pool scatter, indexed within its block. Every
-element sees the same operations in the same order as over the whole
-array, so blocking changes no bit. Backward's last GEMM, grad_rows =
-g @ W0.T, runs per block too, so that it can write over its own operand
-one block at a time; a ragged tail shorter than _BLOCK joins the block
-before it, because this BLAS gives a row block's GEMM the whole GEMM's
+The elementwise passes run over one partition of the points, _blocks(n):
+blocks of _BLOCK points (K * _BLOCK MLP rows), a tail shorter than _BLOCK
+joined to the block before it. Each pass then finds its operands in L2
+instead of streaming the whole (N*K, width) array once per pass: the
+hidden layers' bias and ReLU; the output bias, both slot sums, the
+max-pool and its argmax, written straight into the output rows; and in
+backward, the last GEMM, grad_rows = g @ W0.T, then the max-pool scatter.
+Every element sees the same operations in the same order as over the
+whole array, so blocking changes no bit. The GEMM runs per block so that
+it can write over its own operand one block at a time, and the tail
+joins a block because this BLAS gives a row block's GEMM the whole GEMM's
 bits only when the block has enough rows (>= 136 at width 135). The other
 GEMMs and the column sums (grad_w, grad_b, the aggregation einsum) stay
 whole: a GEMM is already blocked inside BLAS, and a column sum split into
@@ -133,7 +133,7 @@ class PacfParams:
             raise ValueError(f"the parameters take rows of width {self.spec.d_i} but the rows have width {d_i}")
 
 
-def init_params(spec: MlpSpec, k: int, seed: int = 0) -> PacfParams:
+def init_params(spec: MlpSpec, k: int, seed: int) -> PacfParams:
     """Glorot-uniform MLP weights; aggregation scalars start at 1/K."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -226,6 +226,12 @@ class _ForwardCache:
 _BLOCK = 256
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of _BLOCK points; a tail shorter than _BLOCK joins the block before it."""
+    edges = [*(range(0, n - _BLOCK + 1, _BLOCK) or [0]), n]
+    return list(zip(edges, edges[1:]))
+
+
 def _sorted_slot_sum(v: np.ndarray) -> np.ndarray:
     """Sum (N, K, D) over the slots in ascending order, so any slot order gives the same bits.
 
@@ -256,8 +262,8 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
         cache.activations.append(h)
         h = h @ w
         if li < n_layers - 1:
-            for lo in range(0, n * k, _BLOCK * k):
-                z = h[lo : lo + _BLOCK * k]
+            for lo, hi in _blocks(n):
+                z = h[lo * k : hi * k]
                 z += b
                 np.maximum(z, 0.0, out=z)
     y_cc_k = h.reshape(n, k, d_o)
@@ -266,8 +272,8 @@ def pacf_forward(nf: NeighborFeatures, params: PacfParams) -> tuple[FusedFeature
     values = np.empty((n, 2 * d_o + d_i))
     cache.argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
     aggr = params.aggr_weights[None, :, None]
-    for lo in range(0, n, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
+    for lo, hi in _blocks(n):
+        blk = slice(lo, hi)
         y, x, top, out = y_cc_k[blk], rows[blk], cache.argmax[blk], values[blk]
         y += params.biases[-1]
         out[:, :d_o] = _sorted_slot_sum(y)
@@ -341,26 +347,19 @@ def pacf_backward(
             del mask
         else:
             # over g's own buffer when the first hidden width is D_i; numpy copies each
-            # block's overlapping operand first. A short tail joins the previous block:
-            # a GEMM split into row blocks keeps its bits only for blocks of enough rows
+            # block's overlapping operand first. Then the max-pool: each (point, channel)
+            # adds to its one argmax slot in the block's C-order rows, so no flat index repeats
             dest = g if g.shape[1] == d_i else np.empty((n * k, d_i))
-            edges = [*(range(0, n - _BLOCK + 1, _BLOCK) or [0]), n]
-            for lo, hi in zip(edges, edges[1:]):
-                blk = slice(lo * k, hi * k)
-                np.matmul(g[blk], params.weights[0].T, out=dest[blk])
+            for lo, hi in _blocks(n):
+                rows = slice(lo * k, hi * k)
+                np.matmul(g[rows], params.weights[0].T, out=dest[rows])
+                # intp before the multiply: a uint8 slot times d_i would wrap
+                flat = cache.argmax[lo:hi].astype(np.intp)
+                flat *= d_i
+                flat += np.arange(hi - lo)[:, None] * (k * d_i) + np.arange(d_i)
+                dest[rows].reshape(-1)[flat] += g_pool[lo:hi]
             g = dest
 
-    # max-pool: each (point, channel) adds to its one argmax slot, so no flat index
-    # repeats; g is a C-order (N*K, D_i) array, so its row blocks are contiguous
-    g = g.reshape(n, k * d_i)
-    offsets = np.arange(_BLOCK)[:, None] * (k * d_i) + np.arange(d_i)
-    for lo in range(0, n, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        # intp before the multiply: a uint8 slot times d_i would wrap
-        flat = cache.argmax[blk].astype(np.intp)
-        flat *= d_i
-        flat += offsets[: len(flat)]
-        g[blk].reshape(-1)[flat] += g_pool[blk]
     grad_rows = g.reshape(n, k, d_i)
     return grad_w, grad_b, grad_aggr, grad_rows
 
@@ -370,17 +369,17 @@ def fuse_cloud(
     fmap: FeatureMap,
     calib: CalibrationSet,
     params: PacfParams,
-    k: int = 3,
-    d: float = np.inf,
+    d: float,
 ) -> np.ndarray:
     """Run the PACF operator over a whole cloud; returns its (N, C) float64 rows, one per point.
 
-    Each point's neighbor rows carry its retrieved semantics and no point
-    features (a scan carries none).
+    Each point's params.k nearest neighbours within distance d give its
+    rows; they carry the retrieved semantics and no point features (a scan
+    carries none).
     """
     pixels = project_points(cloud, calib, (fmap.height, fmap.width))
     semantic, sem_valid = retrieve_features(pixels, fmap)
-    nbr = knn_table(cloud.xyz, k, d)
+    nbr = knn_table(cloud.xyz, params.k, d)
     nf = assemble_neighbors(cloud, semantic, nbr, sem_valid, point_features=None)
     return pacf_forward(nf, params)[0].values
 

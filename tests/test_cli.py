@@ -151,7 +151,7 @@ def test_fuse_v1_row_shape(tmp_path, capsys, synthetic_frame):
     code, out = run(
         [
             "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
-            "--out", out_path, "--mode", "v1", "--dout", "4",
+            "--out", out_path, "--mode", "v1", "--mlp", "4,4,4",
             "--n-sample", 512, "--seed", 7,
         ],
         capsys,
@@ -385,6 +385,17 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
     assert "0 points after the ROI crop" in out.err
 
 
+@pytest.mark.parametrize("verify", [False, True], ids=["table", "verify"])
+def test_knn_empty_scan_exit_code(synthetic_frame, capsys, verify):
+    """A 0-record scan is a usage error naming the file, so --verify cannot pass on zero rows."""
+    f = synthetic_frame
+    f["velodyne"].write_bytes(b"")
+    code, out = run(["knn", f["velodyne"], *(["--verify"] if verify else [])], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out.err == f"error: {f['velodyne']}: 0 points\n" and out.out == ""
+    assert "k-d tree" not in out.err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -395,7 +406,6 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: ["knn", f["velodyne"], "--k", -2], "--k"),
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--dist", -0.5], "--dist"),
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--dist", "nan"], "--dist"),
-        (lambda f: PREPARE_ARGV["fuse"](f) + ["--dout", 0], "--dout"),
         (lambda f: PREPARE_ARGV["maskgen"](f) + ["--n-sample", 0], "--n-sample"),
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", -1, "--width", 192], "--height"),
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 64, "--width", 0], "--width"),
@@ -407,8 +417,6 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
         (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--mlp", "4,6,3"], "--mlp"),
-        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4,8,5", "--dout", 3], "--dout"),
-        (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--dout", 8], "--dout"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.045,-40,40,-1,3"], "--roi"),  # 0.45 px rounds to none
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
@@ -416,16 +424,14 @@ def test_empty_scan_exit_code(synthetic_frame, capsys, command):
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--mode", "v2", "--n-sample", 10**30], "--n-sample"),
         (lambda f: PREPARE_ARGV["maskgen"](f) + ["--n-sample", 2**63], "--n-sample"),
         (lambda f: ["knn", f["velodyne"], "--k", 2**63], "--k"),
-        (lambda f: _missing_inputs_fuse(f) + ["--dout", 2**63], "--dout"),
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 2**63, "--width", 5], "--height"),
         (lambda f: ["gradcheck", "--instances", 2**63], "--instances"),
     ],
-    ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "dout_zero",
-         "n_sample_zero", "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative",
-         "maskgen_seed_negative", "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int",
-         "mlp_with_params", "dout_with_mlp", "dout_default_with_params", "bev_roi_thin", "bev_roi_under_half_pixel",
-         "bev_roi_infinite", "fuse_n_sample", "maskgen_n_sample_2_63", "knn_k_2_63", "dout_2_63", "height_2_63",
-         "instances_2_63"],
+    ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "n_sample_zero",
+         "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative", "maskgen_seed_negative",
+         "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int", "mlp_with_params",
+         "bev_roi_thin", "bev_roi_under_half_pixel", "bev_roi_infinite", "fuse_n_sample", "maskgen_n_sample_2_63",
+         "knn_k_2_63", "height_2_63", "instances_2_63"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -448,13 +454,13 @@ def _missing_inputs_bev(f):
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda f: PREPARE_ARGV["fuse"](f) + ["--dout", 2**56],  # a (4, 2**56) float64 weight
+        lambda f: PREPARE_ARGV["fuse"](f) + ["--mlp", f"4,{2**56}"],  # a (4, 2**56) float64 weight
         lambda f: _maskgen_argv(f, f["labels_path"], "m") + ["--height", 2**30, "--width", 2**31],  # uint8 mask
         lambda f: ["knn", f["velodyne"], "--k", 2**58 // len(f["cloud"])],  # an (N, k) int64 table
         lambda f: ["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.ppm",
                    "--roi", "0,1e8,-5e7,5e7,-1,3"],  # a (1e9, 1e9, 3) uint8 image
     ],
-    ids=["fuse_dout", "maskgen_height_width", "knn_k", "bev_roi"],
+    ids=["fuse_mlp", "maskgen_height_width", "knn_k", "bev_roi"],
 )
 def test_oversized_flag_exit_code(synthetic_frame, capsys, argv):
     code, out = run(argv(synthetic_frame), capsys)
@@ -584,14 +590,21 @@ def test_fuse_output_overflow_exit_code(synthetic_frame, capsys, source):
     assert not (f["dir"] / "o.pacf").exists()
 
 
-def test_fuse_dout_defaults_to_8(synthetic_frame, capsys):
+def test_fuse_default_mlp_is_d_i_8_8(synthetic_frame, capsys):
+    """Without --params or --mlp the operator is MlpSpec.default(D_i, 8): here --mlp 4,8,8."""
     f = synthetic_frame
     outputs = []
-    for extra in ([], ["--dout", 8]):
+    for extra in ([], ["--mlp", "4,8,8"]):
         code, out = run(PREPARE_ARGV["fuse"](f) + ["--n-sample", 64] + extra, capsys)
         assert code == cli.EXIT_OK and "rows of width 20 " in out.out  # 2 * 8 + 1 semantic + 0 point channels + 3
         outputs.append((f["dir"] / "o.pacf").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_fuse_has_no_dout_flag(synthetic_frame, capsys):
+    code, out = run(PREPARE_ARGV["fuse"](synthetic_frame) + ["--dout", 8], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --dout 8" in out.err
 
 
 def _maskgen_argv(f, labels_path, tag):

@@ -553,6 +553,21 @@ class TestReferenceBits:
         nf = random_neighbors(np.random.default_rng(11), 2 * fusion._BLOCK + 1, 1, BACKBONE)
         self._check_forward_and_backward(nf, hidden)
 
+    def test_slot_256_at_k257_matches_references(self):
+        """257 slots take a uint16 argmax: a channel's maximum in slot 256 must route its gradient there."""
+        nf = fusion.assemble_neighbors(*tied_frame(257, 0, n=6))
+        nf.rows[:, 256, :2] = nf.rows[:, :, :2].max(axis=1) + 1.0
+        self._check_forward_and_backward(nf, None)
+
+    def test_block_partition(self):
+        """Blocks of _BLOCK points cover the points in order; a tail shorter than _BLOCK joins the block before it."""
+        b = fusion._BLOCK
+        assert fusion._blocks(0) == [(0, 0)]
+        assert fusion._blocks(b - 1) == [(0, b - 1)]
+        assert fusion._blocks(b) == [(0, b)]
+        assert fusion._blocks(2 * b + 1) == [(0, b), (b, 2 * b + 1)]
+        assert fusion._blocks(3 * b) == [(0, b), (b, 2 * b), (2 * b, 3 * b)]
+
     @staticmethod
     def _check_forward_and_backward(nf, hidden):
         n, k, d_i = nf.rows.shape
@@ -575,6 +590,20 @@ class TestReferenceBits:
         assert same_bits(got[3], want[3])
 
 
+_W = (5, 7, 3)  # layer widths of the hand-built PACW files
+
+
+def _pacw_header(version, k, widths, n_widths=None):
+    """A PACW header: magic, version, k, the number of widths (len(widths) unless given), then the widths."""
+    return fusion.PARAMS_MAGIC + struct.pack(f"<HII{len(widths)}I", version, k,
+                                             len(widths) if n_widths is None else n_widths, *widths)
+
+
+def _pacw_payload(widths, k):
+    """Zero weights and biases of the given widths, then k zero aggregation scalars."""
+    return b"\x00" * 8 * (sum(a * b + b for a, b in zip(widths, widths[1:])) + k)
+
+
 class TestParamsIO:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         for i in range(10):
@@ -590,35 +619,49 @@ class TestParamsIO:
             for a, b in zip(params.weights, back.weights):
                 np.testing.assert_array_equal(a, b)
 
-    def test_bad_magic(self, tmp_path):
+    def test_saved_container_is_version_1(self, tmp_path):
+        """The on-disk version is pinned: a build writing another could read only its own files."""
         path = tmp_path / "p.pacw"
-        path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(Exception, match="magic"):
-            fusion.load_params(path)
+        fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=_W), 3, seed=0), path)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 1)
 
     @pytest.mark.parametrize(
-        "case, match",
-        [("truncated_header", "truncated"), ("short_payload", "size"), ("one_width", "widths"), ("k_zero", "k=0"),
-         ("no_widths", "widths"), ("zero_width", "positive")],
+        "raw, message",
+        [
+            (b"", "bad magic"),
+            (b"XXXX" + b"\x00" * 32, "bad magic"),
+            (b"PACW", "bad magic"),
+            (_pacw_header(1, 3, (), n_widths=3)[:13], "bad magic"),
+            (b"pacw" + _pacw_header(1, 3, _W)[4:] + _pacw_payload(_W, 3), "bad magic"),
+            (b"PACF" + _pacw_header(1, 3, _W)[4:] + _pacw_payload(_W, 3), "bad magic"),
+            (_pacw_header(0, 3, _W) + _pacw_payload(_W, 3), "unsupported version 0"),
+            (_pacw_header(2, 3, _W) + _pacw_payload(_W, 3), "unsupported version 2"),
+            (_pacw_header(1, 3, (), n_widths=3), "truncated header"),
+            (_pacw_header(1, 3, (5, 7), n_widths=3), "truncated header"),
+            (_pacw_header(1, 3, _W), "payload size mismatch"),
+            (_pacw_header(1, 3, _W) + _pacw_payload(_W, 3)[:-8], "payload size mismatch"),
+            (_pacw_header(1, 3, _W) + _pacw_payload(_W, 3) + b"\x00", "payload size mismatch"),
+            (_pacw_header(1, 1, (5,)) + struct.pack("<d", 1.0),
+             "the MLP needs at least one layer, i.e. input and output widths"),
+            (_pacw_header(1, 1, ()) + struct.pack("<d", 1.0),
+             "the MLP needs at least one layer, i.e. input and output widths"),
+            (_pacw_header(1, 0, _W) + _pacw_payload(_W, 0), "k=0, needs at least one aggregation weight"),
+            (_pacw_header(1, 3, (5, 0, 3)) + _pacw_payload((5, 0, 3), 3),
+             "all layer widths must be positive: (5, 0, 3)"),
+            (_pacw_header(1, 3, _W) + struct.pack("<d", np.nan) + _pacw_payload(_W, 3)[8:],
+             "parameters must be finite"),
+        ],
+        ids=["empty", "other_magic", "magic_only", "header_13_bytes", "lowercase_magic", "feature_map_magic",
+             "version_0", "version_2", "no_width_present", "widths_cut", "header_only", "short_payload",
+             "long_payload", "one_width", "no_widths", "k_zero", "zero_width", "nan_weight"],
     )
-    def test_malformed_container(self, tmp_path, case, match):
-        head = fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 3, 3)
-        raw = {
-            "truncated_header": head,  # three widths announced, none present
-            "short_payload": head + struct.pack("<3I", 5, 7, 3) + b"\x00" * 80,
-            "one_width": fusion.PARAMS_MAGIC + struct.pack("<HIII", fusion.PARAMS_VERSION, 1, 1, 5)
-            + struct.pack("<d", 1.0),
-            # widths 5, 7, 3 with every weight and bias present but no aggregation scalar
-            "k_zero": fusion.PARAMS_MAGIC + struct.pack("<HII3I", fusion.PARAMS_VERSION, 0, 3, 5, 7, 3)
-            + b"\x00" * 8 * (5 * 7 + 7 + 7 * 3 + 3),
-            "no_widths": fusion.PARAMS_MAGIC + struct.pack("<HII", fusion.PARAMS_VERSION, 1, 0) + struct.pack("<d", 1.0),
-            # widths 5, 0, 3: an empty (5, 0) weight, an empty bias, a (0, 3) weight, then 3 biases and 3 scalars
-            "zero_width": head + struct.pack("<3I", 5, 0, 3) + b"\x00" * 8 * 6,
-        }[case]
+    def test_malformed_container(self, tmp_path, raw, message):
+        """Each header or payload fault is a FormatError with its exact message."""
         path = tmp_path / "p.pacw"
         path.write_bytes(raw)
-        with pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError) as exc:
             fusion.load_params(path)
+        assert str(exc.value) == f"parameter container: {message}"
 
     @pytest.mark.parametrize(
         "weights, biases, aggr, match",
@@ -759,13 +802,19 @@ class TestFuseCloud:
         assert 0 < sem_valid.sum() < len(cloud)
         return cloud, fmap, calib, semantic, sem_valid
 
-    def test_v1_rows_are_pacf_forward(self, frame):
-        """fuse_cloud returns pacf_forward's rows over neighbor rows that carry no point features."""
+    @pytest.mark.parametrize("d", [np.inf, 10.0], ids=["inf", "radius"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_v1_rows_are_pacf_forward(self, frame, k, d):
+        """fuse_cloud searches params.k neighbours within d and returns pacf_forward's rows over neighbor rows
+        that carry no point features."""
         cloud, fmap, calib, semantic, sem_valid = frame
-        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k=3, seed=0)
-        nf = fusion.assemble_neighbors(cloud, semantic, kdtree.knn_table(cloud.xyz, 3), sem_valid, None)
+        params = fusion.init_params(fusion.MlpSpec.default(2 + 3, 4), k, seed=0)
+        table = kdtree.knn_table(cloud.xyz, params.k, d)
+        if k > 1 and d < np.inf:  # the radius pads some rows
+            assert not np.array_equal(table, kdtree.knn_table(cloud.xyz, k, np.inf))
+        nf = fusion.assemble_neighbors(cloud, semantic, table, sem_valid, None)
         want = fusion.pacf_forward(nf, params)[0].values
-        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3)
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, d)
         assert type(out) is np.ndarray and out.dtype == np.float64
         assert out.shape == (40, 2 * 4 + 5) == want.shape
         assert out.tobytes() == want.tobytes()
@@ -778,5 +827,5 @@ class TestFuseCloud:
             raise AssertionError("fuse_cloud built a validated cloud")
 
         monkeypatch.setattr(PointCloud, "__post_init__", no_validation)
-        out = fusion.fuse_cloud(cloud, fmap, calib, params, k=3)
+        out = fusion.fuse_cloud(cloud, fmap, calib, params, np.inf)
         assert len(out) == len(cloud)

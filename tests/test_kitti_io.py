@@ -54,6 +54,10 @@ class TestVelodyne:
         with pytest.raises(kitti.FormatError, match="reflectance"):
             kitti.decode_velodyne(raw)
 
+    def test_reflectance_bounds_accepted(self):
+        raw = struct.pack("<4f", 1, 2, 3, 1.0) + struct.pack("<4f", 4, 5, 6, 0.0)
+        assert kitti.decode_velodyne(raw).reflectance.tolist() == [1.0, 0.0]
+
     def test_decode_widens_into_contiguous_arrays(self, rng):
         records = np.hstack([rng.uniform(-100, 100, size=(300, 3)), rng.uniform(0, 1, size=(300, 1))]).astype("<f4")
         cloud = kitti.decode_velodyne(records.tobytes())

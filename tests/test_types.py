@@ -64,6 +64,10 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(xyz=np.zeros((1, 3)), reflectance=np.array([1.5]))
 
+    def test_reflectance_bounds_accepted(self):
+        cloud = PointCloud(xyz=np.zeros((2, 3)), reflectance=np.array([0.0, 1.0]))
+        assert cloud.reflectance.tolist() == [0.0, 1.0]
+
     def test_nan_reflectance_rejected(self):
         with pytest.raises(ValueError, match="reflectance"):
             PointCloud(xyz=np.zeros((2, 3)), reflectance=np.array([0.5, np.nan]))
@@ -101,6 +105,12 @@ class TestBox3D:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             Box3D(x=0, y=0, z=0, h=-1, w=1, l=1, ry=0)
+
+    @pytest.mark.parametrize("field", ["h", "w", "l"])
+    def test_zero_dims_rejected(self, field):
+        fields = dict(x=0.0, y=0.0, z=5.0, h=1.0, w=1.0, l=1.0, ry=0.0)
+        with pytest.raises(ValueError, match="box dimensions must be positive"):
+            Box3D(**{**fields, field: 0.0})
 
     def test_bad_yaw(self):
         with pytest.raises(ValueError):

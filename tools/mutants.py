@@ -24,8 +24,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CLI, GEOMETRY, KDTREE, KITTI, LOSSES = (f"src/pacfusion/{name}.py"
-                                        for name in ("cli", "geometry", "kdtree", "kitti", "losses"))
+CLI, FUSION, GEOMETRY, KDTREE, KITTI, LOSSES, TYPES = (
+    f"src/pacfusion/{name}.py" for name in ("cli", "fusion", "geometry", "kdtree", "kitti", "losses", "types"))
+PARAMS_IO, REFERENCE_BITS = (f"tests/test_fusion.py::{cls}" for cls in ("TestParamsIO", "TestReferenceBits"))
 
 MUTANTS = [
     # the image's right and bottom edges are open
@@ -72,6 +73,18 @@ MUTANTS = [
     (LOSSES, "if not UNSUPERVISED <= value", "if not UNSUPERVISED - 1 <= value", ["tests/test_losses.py"], None),
     # within a pixel the points stay in index order, so the lower index wins a depth tie
     (LOSSES, 'np.argsort(keys, kind="stable")', "np.argsort(keys)", ["tests/test_losses.py"], None),
+    # a checkpoint is written as version 1, and a header-only file is a payload fault
+    (FUSION, "PARAMS_VERSION = 1", "PARAMS_VERSION = 2", [PARAMS_IO], None),
+    (FUSION, "if len(raw) < pos:", "if len(raw) <= pos:", [f"{PARAMS_IO}::test_malformed_container"], None),
+    # 257 slots need a uint16 argmax; a tail shorter than a block joins the block before it
+    (FUSION, "np.min_scalar_type(k - 1)", "np.min_scalar_type(k - 2)",
+     [f"{REFERENCE_BITS}::test_slot_256_at_k257_matches_references"], None),
+    (FUSION, "range(0, n - _BLOCK + 1, _BLOCK) or [0]", "range(0, n, _BLOCK)",
+     [f"{REFERENCE_BITS}::test_block_partition"], None),
+    # a Car box of zero height or width is rejected; a reflectance of exactly 1.0 is valid
+    (TYPES, "self.h <= 0", "self.h < 0", ["tests/test_types.py"], None),
+    (TYPES, "self.w <= 0", "self.w < 0", ["tests/test_types.py"], None),
+    (TYPES, "self.reflectance.max() <= 1.0", "self.reflectance.max() < 1.0", ["tests/test_types.py"], None),
 ]
 
 
