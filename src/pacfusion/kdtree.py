@@ -78,13 +78,13 @@ class KdTree:
     def __init__(self, points: np.ndarray):
         points = np.array(points, dtype=np.float64, order="C").reshape(-1, 3)  # C order: a row is 24 bytes
         if len(points) == 0:
-            raise ValueError("cannot build a k-d tree over zero points")
+            raise ValueError("cannot search zero points")
         self.xyz = points
         self.lo = points.min(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             extent = np.max(points.max(axis=0) - self.lo)
         if not np.isfinite(extent):
-            raise ValueError("cannot build a k-d tree over non-finite points or a span that overflows float64")
+            raise ValueError("cannot search non-finite points or points whose span overflows float64")
         exponent = int(np.frexp(extent)[1])  # 2**exponent > extent
         # cell size exponents, the finest and the one that holds the whole cloud, kept to finite nonzero floats
         self.levels = (max(exponent - _BITS, -1074), min(exponent + 1, 1023))

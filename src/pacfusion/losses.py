@@ -98,38 +98,24 @@ def make_sparse_mask(
     return SparseMask(state=state)
 
 
-# Depth (the projective w) of the plane that clips a box reaching behind the camera
+# Depth (the projective w) each corner of a DontCare box must reach; it keeps u and v finite for the int conversion
 NEAR_DEPTH = 0.1
 
 
 def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[int, int, int, int] | None:
-    """Projected 2D pixel rectangle of the part of a box in front of the near plane, or None if none is.
-
-    A box straddling the image plane is clipped: its corners behind
-    NEAR_DEPTH are replaced by the points where its edges cross it.
-    """
+    """Pixel rectangle of a box's 8 projected corners, clipped to the image; None unless each has w >= NEAR_DEPTH."""
     height, width = image_size
-    h, w, l = (size if size > 0 else 1.0 for size in (box.h, box.w, box.l))
     c, s = np.cos(box.ry), np.sin(box.ry)
     cam = np.array([
         (box.x + c * sx + s * sz, box.y + sy, box.z - s * sx + c * sz)
-        for sx in (-l / 2, l / 2) for sy in (-h, 0.0) for sz in (-w / 2, w / 2)
+        for sx in (-box.l / 2, box.l / 2) for sy in (-box.h, 0.0) for sz in (-box.w / 2, box.w / 2)
     ])
     hom = _affine_rows(cam, calib.P2)
-    front = hom[:, 2] >= NEAR_DEPTH
-    if not front.any():
+    if not (hom[:, 2] >= NEAR_DEPTH).all():
         return None
-    # the 12 edges join corners whose indices 4*sx + 2*sy + sz differ in one bit
-    edges = np.array([(i, i | bit) for i in range(8) for bit in (1, 2, 4) if not i & bit])
-    edges = edges[front[edges[:, 0]] != front[edges[:, 1]]]  # the edges crossing the plane
-    a, b = hom[edges[:, 0]], hom[edges[:, 1]]
-    crossings = a + ((NEAR_DEPTH - a[:, 2]) / (b[:, 2] - a[:, 2]))[:, None] * (b - a)
-    hom = np.vstack((hom[front], crossings))
     u, v = hom[:, 0] / hom[:, 2], hom[:, 1] / hom[:, 2]
-    c0 = int(np.clip(np.floor(u.min()), 0, width))
-    c1 = int(np.clip(np.ceil(u.max()) + 1, 0, width))
-    r0 = int(np.clip(np.floor(v.min()), 0, height))
-    r1 = int(np.clip(np.ceil(v.max()) + 1, 0, height))
+    r0, r1 = (int(np.clip(x, 0, height)) for x in (np.floor(v.min()), np.ceil(v.max()) + 1))
+    c0, c1 = (int(np.clip(x, 0, width)) for x in (np.floor(u.min()), np.ceil(u.max()) + 1))
     return r0, r1, c0, c1
 
 

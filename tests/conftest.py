@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +42,16 @@ def read_p5(path, height, width) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(height, width)
 
 
+def run_cli(argv, cwd, threads="1"):
+    """(exit code, stdout, stderr) of `python -m pacfusion.cli argv` run in cwd at `threads` OpenBLAS threads."""
+    src = str(Path(kitti.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "pacfusion.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def random_cloud(rng, n, lo=(0.0, -40.0, -1.0), hi=(70.4, 40.0, 3.0)):
     xyz = rng.uniform(lo, hi, size=(n, 3))
     return PointCloud(xyz=xyz, reflectance=rng.uniform(0, 1, size=n))
@@ -50,6 +65,14 @@ def rng():
 @pytest.fixture
 def synthetic_frame(tmp_path):
     """Small frame: two object clusters, background points, box-consistent map."""
+    return write_synthetic_frame(tmp_path)
+
+
+def write_synthetic_frame(tmp_path, n_background=1000):
+    """Write a frame's scan, calibration, labels and feature map into tmp_path; return them with their paths.
+
+    Two clusters of 200 points fill two Car boxes; n_background points lie 5-60 m ahead.
+    """
     rng = np.random.default_rng(7)
     h, w = 64, 192
     calib = make_calib(f=100.0, cx=w / 2, cy=h / 2)
@@ -79,7 +102,7 @@ def synthetic_frame(tmp_path):
             axis=1,
         )
         parts.append(np.apply_along_axis(cam_to_lidar, 1, cam))
-    background = rng.uniform([5.0, -15.0, -1.0], [60.0, 15.0, 2.0], size=(1000, 3))
+    background = rng.uniform([5.0, -15.0, -1.0], [60.0, 15.0, 2.0], size=(n_background, 3))
     parts.append(background)
     xyz = np.vstack(parts)
     cloud = PointCloud(xyz=xyz, reflectance=rng.uniform(0, 1, size=len(xyz)))

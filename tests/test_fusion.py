@@ -268,7 +268,7 @@ class TestBackward:
         assert ga[0] == pytest.approx(float(g_a @ rows[0, 0]))
 
     def test_finite_differences(self):
-        assert check_pacf_gradients(n_instances=20, seed=11) < 1e-4
+        assert all(error < 1e-4 for error, _ in check_pacf_gradients(n_instances=20, seed=11))
 
     def test_finite_differences_wide_hidden(self):
         # hidden 64 != D_i 23: backward writes grad_rows into a fresh buffer, not over the layer-1 activation
@@ -280,13 +280,13 @@ class TestBackward:
         def objective() -> float:
             return float(np.sum(fusion.pacf_forward(nf, params)[0].values * g_out))
 
-        worst = max_fd_error(
+        worst, unjudged = max_fd_error(
             objective,
             [*params.weights, *params.biases, params.aggr_weights, nf.rows],
             [*gw, *gb, ga, grows],
             lambda size: rng.choice(size, size=min(size, 40), replace=False),
         )
-        assert worst < 1e-6
+        assert worst < 1e-6 and unjudged == 0
 
     def test_maxpool_tie_routes_to_lowest_slot(self):
         dims = FusionDims(c_seg=1, c_lidar=0, d_o=1)

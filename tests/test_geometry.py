@@ -305,7 +305,7 @@ def _reference_box_extent(box, calib, image_size):
 def test_box_extent_projects_corners_as_the_reference(seed, calib, image_size):
     """A box in front of the near plane gets the rectangle of its 8 corners under the reference projection.
 
-    A DontCare box with a size <= 0 gets the rectangle of the same box with that size 1.0.
+    So does a DontCare box with a size <= 0: its corners are those of that size.
     """
     rng = np.random.default_rng(seed)
     for i in range(500):
@@ -315,16 +315,23 @@ def test_box_extent_projects_corners_as_the_reference(seed, calib, image_size):
         assert losses._box_image_extent(box, calib, image_size) == _reference_box_extent(box, calib, image_size)
         size = "hwl"[i % 3]
         degenerate = dataclasses.replace(box, dontcare=True, **{size: 0.0 if i % 2 else -1.0})
-        unit = dataclasses.replace(box, **{size: 1.0})
-        assert losses._box_image_extent(degenerate, calib, image_size) == _reference_box_extent(unit, calib, image_size)
+        want = _reference_box_extent(degenerate, calib, image_size)
+        assert losses._box_image_extent(degenerate, calib, image_size) == want
 
 
-def test_box_behind_the_near_plane_has_no_extent():
+def test_box_with_a_corner_before_the_near_plane_has_no_extent():
+    """A box clears pixels only when every corner has w >= NEAR_DEPTH; one reaching nearer clears none."""
     behind = Box3D(x=1.0, y=1.5, z=-3.0, h=1.5, w=1.6, l=3.9, ry=0.3)  # depths -4.95 to -1.05 m
-    touching = Box3D(x=0.0, y=1.0, z=1.0 + losses.NEAR_DEPTH, h=1.0, w=2.0, l=2.0, ry=0.0)  # near face on the plane
+    straddling = Box3D(x=3.0, y=1.0, z=2.0, h=2.0, w=10.0, l=2.0, ry=0.0)  # depths -3 to 7 m
+    touching = Box3D(x=0.0, y=1.0, z=losses.NEAR_DEPTH + 0.125, h=1.0, w=0.25, l=2.0, ry=0.0)  # near face on the plane
+    calib = make_calib()
+    assert geometry._affine_rows(np.array([[0.0, 1.0, touching.z - 0.125]]), calib.P2)[0, 2] == losses.NEAR_DEPTH
+    assert losses._box_image_extent(touching, calib, (64, 192)) is not None
+    nearer = dataclasses.replace(touching, z=np.nextafter(touching.z, 0.0))
+    assert losses._box_image_extent(nearer, calib, (64, 192)) is None
     for calib in (KITTI_000000, make_calib()):
         assert losses._box_image_extent(behind, calib, (64, 192)) is None
-        assert losses._box_image_extent(touching, calib, (64, 192)) is not None
+        assert losses._box_image_extent(straddling, calib, (64, 192)) is None
 
 
 def test_cuts_return_contiguous_arrays(rng):

@@ -1,0 +1,16 @@
+import golden
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    """Every command's exit code, stdout, stderr and written files hash to the recorded digest.
+
+    The digests rest on numpy's generator streams and float formatting and on OpenBLAS's kernels, so a
+    mismatch names the environment they were written under beside this one.
+    """
+    recorded = golden.load()
+    got = golden.digests(tmp_path)
+    changed = sorted(name for name in recorded["digests"].keys() | got.keys()
+                     if recorded["digests"].get(name) != got.get(name))
+    assert not changed, (f"outputs differ from tests/golden_outputs.json for {changed}; "
+                         f"the digests were written under {recorded['environment']}, this run has "
+                         f"{golden.environment()} (run `python tools/golden.py --write` to rewrite them)")

@@ -11,6 +11,8 @@ from pacfusion.kdtree import KdTree, knn_brute, knn_query, knn_table
 
 from conftest import random_cloud
 
+UNSEARCHABLE = "^cannot search non-finite points or points whose span overflows float64$"
+
 
 def test_ego_point_first():
     pts = np.array([[0, 0, 0], [1, 0, 0], [5, 0, 0]], dtype=float)
@@ -27,8 +29,10 @@ def test_radius_padding_by_repetition():
 
 
 def test_empty_build_rejected():
-    with pytest.raises(ValueError):
-        KdTree(np.zeros((0, 3)))
+    """An index over zero points, or one built for a table, names the points, as knn_brute does."""
+    for build in (KdTree, lambda points: knn_table(points, 3)):
+        with pytest.raises(ValueError, match="^cannot search zero points$"):
+            build(np.zeros((0, 3)))
 
 
 def test_brute_rejects_zero_points():
@@ -245,12 +249,12 @@ def test_nonfinite_point_rejected_without_warnings(rng, bad, row):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="target must be finite"):
             knn_table(pts, 3)
-        with pytest.raises(ValueError, match="non-finite points"):
+        with pytest.raises(ValueError, match=UNSEARCHABLE):
             KdTree(pts)
 
 
 def test_extreme_coordinates_match_brute_without_warnings():
-    with pytest.raises(ValueError, match="overflows float64"):
+    with pytest.raises(ValueError, match=UNSEARCHABLE):
         KdTree([[-1e308, 0, 0], [1e308, 0, 0]])
     clouds = [
         # d² overflows to inf between the far points and underflows to 0 between the two near ones

@@ -24,8 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CLI, FUSION, GEOMETRY, KDTREE, KITTI, LOSSES, TYPES = (
-    f"src/pacfusion/{name}.py" for name in ("cli", "fusion", "geometry", "kdtree", "kitti", "losses", "types"))
+CLI, FUSION, GEOMETRY, GRADCHECK, KDTREE, KITTI, LOSSES, TYPES = (f"src/pacfusion/{name}.py" for name in (
+    "cli", "fusion", "geometry", "gradcheck", "kdtree", "kitti", "losses", "types"))
 PARAMS_IO, REFERENCE_BITS = (f"tests/test_fusion.py::{cls}" for cls in ("TestParamsIO", "TestReferenceBits"))
 
 MUTANTS = [
@@ -33,7 +33,6 @@ MUTANTS = [
     (GEOMETRY, "(u < width)", "(u <= width)", ["tests/test_geometry.py"], None),
     # a point on a box face is inside
     (GEOMETRY, "(np.abs(lx) <= box.l / 2)", "(np.abs(lx) < box.l / 2)", ["tests/test_geometry.py"], None),
-    (LOSSES, "size if size > 0 else 1.0", "size if size > 0 else 0.5", ["tests/test_geometry.py"], None),
     (KITTI, "_ORTHO_TOL = 1e-3", "_ORTHO_TOL = 1e-1", ["tests/test_kitti_io.py"], None),
     (CLI, "mismatches += 1", "mismatches += 0", ["tests/test_cli.py"], None),
     (CLI, "0.5 < span / BEV_RESOLUTION", "0.4 < span / BEV_RESOLUTION", ["tests/test_cli.py"], None),
@@ -43,7 +42,14 @@ MUTANTS = [
     (GEOMETRY, "if count >= n:", "if count > n:", ["tests/test_geometry.py"], None),
     (KITTI, ".max() > _MAX_ABS:", ".max() >= 2 * _MAX_ABS:", ["tests/test_kitti_io.py"], None),
     (KITTI, "if len(fields) < 15:", "if len(fields) < 14:", ["tests/test_kitti_io.py"], None),
-    ("src/pacfusion/gradcheck.py", "abs(numeric), 1e-8)", "abs(numeric), 1e-2)", ["tests/test_gradcheck.py"], None),
+    (GRADCHECK, "abs(numeric), 1e-8)", "abs(numeric), 1e-2)", ["tests/test_gradcheck.py"], None),
+    # a probe is excused only within half the one-sided gap plus rounding, and an array needs a judged probe
+    (GRADCHECK, "+ f_minus) / 2 +", "+ f_minus) / 4 +", ["tests/test_gradcheck.py"], None),
+    (GRADCHECK, "ROUNDING = 8 *", "ROUNDING = 0 *", ["tests/test_gradcheck.py"], None),
+    (GRADCHECK, "worst = np.inf", "worst = max(worst, 0.0)", ["tests/test_gradcheck.py"], None),
+    # an --mlp width is bounded as a count flag is
+    (CLI, "tuple(_positive_int(v) for v", "tuple(int(v) for v", ["tests/test_cli.py::test_bad_flag_value_exit_code"],
+     None),
     (KDTREE, "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
      ["tests/test_kdtree.py"], "for k > _WINDOW no radius bound is taken, so the search is slower, the table the same"),
     # every block of a table is searched; the cube reaches r past the target; a level's z and y cells are the
@@ -59,8 +65,9 @@ MUTANTS = [
     # k and d are checked once per table, before it is built
     (KDTREE, "k, d2max = _check_query(k, d)\n", "k, d2max = operator.index(k), float(d) ** 2\n",
      ["tests/test_kdtree.py"], None),
-    (LOSSES, "front = hom[:, 2] >= NEAR_DEPTH", "front = hom[:, 2] > NEAR_DEPTH", ["tests/test_geometry.py"],
-     "a corner exactly on the near plane becomes its own crossing, the same point"),
+    # a DontCare box with a corner exactly on the near plane still clears its extent
+    (LOSSES, "(hom[:, 2] >= NEAR_DEPTH)", "(hom[:, 2] > NEAR_DEPTH)",
+     ["tests/test_geometry.py::test_box_with_a_corner_before_the_near_plane_has_no_extent"], None),
     # a PACF header fault is named exactly: a short header, extra payload bytes
     (KITTI, "if len(raw) < 18 or", "if len(raw) < 17 or", ["tests/test_kitti_io.py"], None),
     (KITTI, "if len(raw) - 18 != expected:", "if len(raw) - 18 < expected:", ["tests/test_kitti_io.py"], None),
