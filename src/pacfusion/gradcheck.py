@@ -56,13 +56,13 @@ def random_neighbors(rng: np.random.Generator, n: int, k: int, dims: FusionDims)
     return fusion.NeighborFeatures(rows=rows, valid=np.ones((n, k), dtype=bool), dims=dims)
 
 
-def random_instance(rng: np.random.Generator, k=3, c_seg=2, c_lidar=4, d_o=5, hidden=None):
-    dims = FusionDims(c_seg=c_seg, c_lidar=c_lidar, d_o=d_o)
+def random_instance(rng: np.random.Generator):
+    """1 to 4 points' K = 3 neighbor rows of 2 semantic and 4 point channels, and an operator 9 -> 9 -> 5."""
+    dims = FusionDims(c_seg=2, c_lidar=4, d_o=5)
     n = int(rng.integers(1, 5))
-    widths = (dims.d_i, hidden or max(dims.d_i, d_o), d_o)
-    params = fusion.init_params(fusion.MlpSpec(widths=widths), k, seed=int(rng.integers(1 << 30)))
-    params.aggr_weights = rng.normal(size=k)
-    return random_neighbors(rng, n, k, dims), params
+    params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=int(rng.integers(1 << 30)))
+    params.aggr_weights = rng.normal(size=3)
+    return random_neighbors(rng, n, 3, dims), params
 
 
 def check_pacf_gradients(n_instances: int = 20, seed: int = 0):

@@ -1,10 +1,12 @@
 """Golden output digests: every CLI command on two fixed frames, hashed.
 
 A digest is the sha256 of one command's exit code, stdout, stderr and the
-files it writes, run in a subprocess at one OpenBLAS thread.
-tests/golden_outputs.json holds the digests, with the numpy version and
-OpenBLAS configuration they were written under. tests/test_golden.py
-compares them; `python tools/golden.py --write` writes the file again.
+files it writes, run in a subprocess at a given OpenBLAS thread count.
+tests/golden_outputs.json holds the digests, written at one thread, with
+the numpy version and OpenBLAS configuration they were written under.
+tests/test_golden.py compares them at one and at two threads, so the one
+file also pins that no output depends on the thread count; `python
+tools/golden.py --write` writes the file again.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ def _commands() -> dict[str, tuple[list[str], list[str]]]:
     }
 
 
-def digests(workdir: Path) -> dict[str, str]:
-    """name -> sha256 of each command's exit code, stdout, stderr and written files, the frames written in workdir."""
+def digests(workdir: Path, threads: str = "1") -> dict[str, str]:
+    """name -> sha256 of each command's exit code, stdout, stderr and written files, the frames written in workdir.
+
+    Each command runs at `threads` OpenBLAS threads.
+    """
     _write_frames(workdir)
     result = {}
     for name, (argv, outputs) in _commands().items():
-        code, stdout, stderr = run_cli(argv, workdir)
+        code, stdout, stderr = run_cli(argv, workdir, threads)
         digest = hashlib.sha256()
         for part in (str(code).encode(), stdout, stderr, *((workdir / path).read_bytes() for path in outputs)):
             digest.update(len(part).to_bytes(8, "little") + part)  # length-prefixed: no two splits hash alike

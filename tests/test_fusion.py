@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from pacfusion import fusion, geometry, kdtree
 from pacfusion.geometry import PixelCoords
-from pacfusion.gradcheck import check_pacf_gradients, max_fd_error, random_instance, random_neighbors
+from pacfusion.gradcheck import check_pacf_gradients, max_fd_error, random_neighbors
 from pacfusion.kitti import FormatError
 from pacfusion.types import FeatureMap, FusionDims, PointCloud
 
@@ -273,7 +273,11 @@ class TestBackward:
     def test_finite_differences_wide_hidden(self):
         # hidden 64 != D_i 23: backward writes grad_rows into a fresh buffer, not over the layer-1 activation
         rng = np.random.default_rng(21)
-        nf, params = random_instance(rng, k=3, c_seg=4, c_lidar=16, d_o=8, hidden=64)
+        dims = FusionDims(c_seg=4, c_lidar=16, d_o=8)
+        n = int(rng.integers(1, 5))
+        params = fusion.init_params(fusion.MlpSpec(widths=(dims.d_i, 64, 8)), 3, seed=int(rng.integers(1 << 30)))
+        params.aggr_weights = rng.normal(size=3)
+        nf = random_neighbors(rng, n, 3, dims)
         g_out = rng.normal(size=(nf.rows.shape[0], nf.dims.d_i + 2 * params.spec.d_o))
         gw, gb, ga, grows = fusion.pacf_backward(fusion.pacf_forward(nf, params)[1], params, g_out)
 

@@ -122,6 +122,11 @@ class TestFilterRegion:
         with pytest.raises(ValueError):
             geometry.RegionOfInterest(x_min=1, x_max=0)
 
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_equal_bounds_rejected(self, axis):
+        with pytest.raises(ValueError, match="min < max per axis"):
+            geometry.RegionOfInterest(**{f"{axis}_min": 2.0, f"{axis}_max": 2.0})
+
 
 class TestSubsample:
     def test_exact_count_identity(self, rng):
@@ -131,6 +136,12 @@ class TestSubsample:
         # n == count draws without replacement too: a seeded permutation, not the identity order
         np.testing.assert_array_equal(idx, np.random.default_rng(1).choice(5, size=5, replace=False))
         assert idx.tolist() != [0, 1, 2, 3, 4]
+
+    def test_one_point(self, rng):
+        cloud = _cloud(rng.normal(size=(5, 3)))
+        out, idx = geometry.subsample(cloud, 1, seed=4)
+        np.testing.assert_array_equal(idx, np.random.default_rng(4).choice(5, size=1, replace=False))
+        np.testing.assert_array_equal(out.xyz, cloud.xyz[idx])
 
     def test_upsampling_keeps_all(self, rng):
         cloud = _cloud(rng.normal(size=(3, 3)))

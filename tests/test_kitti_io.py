@@ -207,6 +207,13 @@ class TestLabels:
         with pytest.raises(kitti.FormatError, match="label line 2:"):
             kitti.read_labels(path)
 
+    def test_result_score_is_ignored(self, tmp_path):
+        """A KITTI result line appends a score after the 15 label fields; the box is the label line's."""
+        line = "Car 0.00 0 -1.58 587 173 614 200 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
+        (tmp_path / "labels.txt").write_text(line + "\n")
+        (tmp_path / "results.txt").write_text(line + " 0.87\n")
+        assert kitti.read_labels(tmp_path / "results.txt") == kitti.read_labels(tmp_path / "labels.txt")
+
     @pytest.mark.parametrize("line", ["Car 1 2 3", "Car 0.00 0 -1.58 587 173 614 200 1.65 1.67 3.64 -0.65 1.71 46.70"],
                              ids=["4_fields", "14_fields"])
     def test_malformed_line(self, tmp_path, line):

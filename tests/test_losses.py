@@ -82,6 +82,9 @@ class TestFocalLoss:
             FocalLossConfig(alpha=0.0)
         with pytest.raises(ValueError):
             FocalLossConfig(gamma=-1.0)
+        # alpha = 1 weighs every background pixel by 1 - alpha = 0
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.0"):
+            FocalLossConfig(alpha=1.0)
 
 
 def whole_map_focal_loss(predictions, mask, cfg=FocalLossConfig()):

@@ -1,12 +1,12 @@
 """Mutation audit: every one-line mutant of src/ must fail the tests mapped to it.
 
-Each mutant is (file, old text, new text, test files, reason). For each,
-the audit copies src/ and tests/ to a temporary directory, replaces the old
-text, which must occur exactly once, and runs pytest on the mapped test
-files there, so the checkout is only read. A mutant whose tests pass has
-survived. A mutant with a reason is marked equivalent: it must survive, and
-the reason says why no test can tell it apart. Any other mutant must be
-killed.
+Each mutant is (file, old text, new text, tests, reason); the tests are
+test files or pytest node ids. For each, the audit copies src/ and tests/
+to a temporary directory, replaces the old text, which must occur exactly
+once, and runs pytest on the mapped tests there, so the checkout is only
+read. A mutant whose tests pass has survived. A mutant with a reason is
+marked equivalent: it must survive, and the reason says why no test can
+tell it apart. Any other mutant must be killed.
 
 Usage: python tools/mutants.py
 Exits 0 when every mutant ends as the list expects, 1 otherwise.
@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI, FUSION, GEOMETRY, GRADCHECK, KDTREE, KITTI, LOSSES, TYPES = (f"src/pacfusion/{name}.py" for name in (
     "cli", "fusion", "geometry", "gradcheck", "kdtree", "kitti", "losses", "types"))
 PARAMS_IO, REFERENCE_BITS = (f"tests/test_fusion.py::{cls}" for cls in ("TestParamsIO", "TestReferenceBits"))
+ORACLE = "tests/test_kdtree.py::test_oracle_equivalence"
+ORACLE_CASES = ("uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all")
 
 MUTANTS = [
     # the image's right and bottom edges are open
@@ -50,8 +52,10 @@ MUTANTS = [
     # an --mlp width is bounded as a count flag is
     (CLI, "tuple(_positive_int(v) for v", "tuple(int(v) for v", ["tests/test_cli.py::test_bad_flag_value_exit_code"],
      None),
+    # the windows of 1 and 2 points are the cases that search with k > _WINDOW
     (KDTREE, "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
-     ["tests/test_kdtree.py"], "for k > _WINDOW no radius bound is taken, so the search is slower, the table the same"),
+     [f"{ORACLE}[{case}-leaf{leaf}]" for case in ORACLE_CASES for leaf in (1, 2)],
+     "for k > _WINDOW no radius bound is taken, so the search is slower, the table the same"),
     # every block of a table is searched; the cube reaches r past the target; a level's z and y cells are the
     # finest cells shifted right by the level, clipped to the finest maximum; each run starts at the cube's x
     (KDTREE, "rows = self.morton_order[start:start + _BLOCK]", "rows = self.morton_order[:_BLOCK]",
@@ -92,6 +96,29 @@ MUTANTS = [
     (TYPES, "self.h <= 0", "self.h < 0", ["tests/test_types.py"], None),
     (TYPES, "self.w <= 0", "self.w < 0", ["tests/test_types.py"], None),
     (TYPES, "self.reflectance.max() <= 1.0", "self.reflectance.max() < 1.0", ["tests/test_types.py"], None),
+    # the documented exit codes 2 and 3; a seed of 0 and a count of 1 are valid; gradcheck checks 20 instances
+    (CLI, "EXIT_FORMAT = 2", "EXIT_FORMAT = 3", ["tests/test_cli.py::test_format_error_exit_code"], None),
+    (CLI, "EXIT_VERIFY = 3", "EXIT_VERIFY = 4", ["tests/test_cli.py::test_knn_verify"], None),
+    (CLI, "if value < 0:", "if value < 1:", ["tests/test_cli.py::test_seed_zero_is_the_default"], None),
+    (CLI, "if not 1 <= value", "if not 2 <= value", ["tests/test_cli.py::test_count_flag_of_one_runs"], None),
+    (CLI, "default=20)", "default=21)", ["tests/test_cli.py::test_gradcheck_checks_20_instances_by_default"], None),
+    # an empty scan is named at the ROI crop, not at the frustum filter
+    (CLI, "if len(cloud) == 0:\n        raise ValueError(f\"{args.velodyne}: 0 points after",
+     "if len(cloud) == 1:\n        raise ValueError(f\"{args.velodyne}: 0 points after",
+     ["tests/test_cli.py::test_empty_scan_exit_code"], None),
+    # a point within one pixel of the ROI's upper x or y bound lands in row or column 0
+    (CLI, "astype(int), 0, h - 1)", "astype(int), 1, h - 1)",
+     ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
+    (CLI, "astype(int), 0, w - 1)", "astype(int), 1, w - 1)",
+     ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
+    # one point is a sample; an ROI axis of equal bounds is empty; alpha = 1 is no focal weight; a result file's
+    # score after the 15 label fields is ignored
+    (GEOMETRY, "if n < 1:", "if n <= 1:", ["tests/test_geometry.py::TestSubsample::test_one_point"], None),
+    *((GEOMETRY, f"self.{axis}_min < self.{axis}_max", f"self.{axis}_min <= self.{axis}_max",
+       [f"tests/test_geometry.py::TestFilterRegion::test_equal_bounds_rejected[{axis}]"], None) for axis in "xyz"),
+    (LOSSES, "0.0 < self.alpha < 1.0", "0.0 < self.alpha <= 1.0",
+     ["tests/test_losses.py::TestFocalLoss::test_config_validation"], None),
+    (KITTI, "fields[8:15]", "fields[8:16]", ["tests/test_kitti_io.py::TestLabels::test_result_score_is_ignored"], None),
 ]
 
 
