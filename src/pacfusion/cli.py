@@ -79,14 +79,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _mlp_spec(text: str) -> fusion.MlpSpec:
-    """argparse type of --mlp: comma-separated layer widths, each a _positive_int, checked as MlpSpec checks them."""
-    try:
-        return fusion.MlpSpec(widths=tuple(_positive_int(v) for v in text.split(",")))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _radius(text: str) -> float:
     """argparse type of --dist: a radius >= 0, inf allowed, NaN not."""
     value = float(text)
@@ -206,15 +198,13 @@ def cmd_fuse(args) -> int:
         d_i = fmap.channels + 3  # semantic channels and the offset; a scan carries no point features
         if args.params:
             params = fusion.load_params(args.params)
-        else:
-            params = fusion.init_params(args.mlp or fusion.MlpSpec.default(d_i, 8), args.k, seed=args.seed)
-        # check the operator fits before the per-point kNN queries
-        try:
-            params.check_fit(args.k, d_i)
-        except ValueError as exc:
-            source = f"checkpoint {args.params}" if args.params else "--mlp"
-            raise ValueError(f"{source}: {exc} (--k is {args.k}; the frame gives rows of width {d_i}"
-                             f" = {fmap.channels} semantic + 0 point channels + 3)") from None
+            try:  # checked before the per-point kNN queries
+                params.check_fit(args.k, d_i)
+            except ValueError as exc:
+                raise ValueError(f"checkpoint {args.params}: {exc} (--k is {args.k}; the frame gives rows of width"
+                                 f" {d_i} = {fmap.channels} semantic + 0 point channels + 3)") from None
+        else:  # the default operator D_i -> max(D_i, 8) -> 8 always fits
+            params = fusion.init_params(fusion.MlpSpec.default(d_i, 8), args.k, seed=args.seed)
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         if args.mode == "v1":
@@ -315,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("velodyne")
     p.add_argument("calib")
     p.add_argument("featuremap")
-    operator = p.add_mutually_exclusive_group()
-    operator.add_argument("--params", default=None, help="PACW checkpoint; random init if omitted")
-    operator.add_argument("--mlp", type=_mlp_spec, default=None, help="layer widths of the random init (default D_i,max(D_i,8),8)")
+    p.add_argument("--params", default=None, help="PACW checkpoint; random init of D_i,max(D_i,8),8 if omitted")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     _add_common(p)

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from pacfusion import fusion
+
 from conftest import run_cli, write_synthetic_frame
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
@@ -29,13 +31,15 @@ DONTCARE_BEHIND = "DontCare -1 -1 -10 0 0 10 10 2 10 2 3 1 2 0\n"
 
 
 def _write_frames(workdir: Path) -> None:
-    """small: the synthetic_frame fixture's 1,400 points; large: 2,600 points, past kdtree's and fusion's blocks."""
+    """small: the synthetic_frame fixture's 1,400 points and a 4-16-8 operator checkpoint for K=4;
+    large: 2,600 points, past kdtree's and fusion's blocks."""
     for name, n_background in (("small", 1000), ("large", 2200)):
         (workdir / name).mkdir()
         frame = write_synthetic_frame(workdir / name, n_background=n_background)
         labels = frame["labels_path"].read_text()
         (workdir / name / "labels_front.txt").write_text(labels + DONTCARE_FRONT)
         (workdir / name / "labels_behind.txt").write_text(labels + DONTCARE_BEHIND)
+    fusion.save_params(fusion.init_params(fusion.MlpSpec((4, 16, 8)), 4, seed=5), workdir / "small" / "operator.pacw")
 
 
 def _commands() -> dict[str, tuple[list[str], list[str]]]:
@@ -62,6 +66,7 @@ def _commands() -> dict[str, tuple[list[str], list[str]]]:
         "knn --verify large": knn("large", "--k", "5", "--dist", "1.5", "--verify"),
         "fuse v1 small": fuse("small", "v1", "--seed", "4"),
         "fuse v2 small": fuse("small", "v2", "--seed", "4"),
+        "fuse v1 --params small": fuse("small", "v1", "--params", "small/operator.pacw", "--k", "4", "--seed", "4"),
         "fuse v1 large": fuse("large", "v1", "--k", "5", "--dist", "8", "--seed", "2"),
         "fuse v2 large": fuse("large", "v2", "--n-sample", "2000", "--seed", "2"),
         "maskgen small": maskgen("small", "labels", "--n-sample", "900", "--seed", "3"),

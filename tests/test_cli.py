@@ -134,7 +134,7 @@ def test_fuse_v1_row_shape(tmp_path, capsys, synthetic_frame):
     code, out = run(
         [
             "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
-            "--out", out_path, "--mode", "v1", "--mlp", "4,4,4",
+            "--out", out_path, "--mode", "v1",
             "--n-sample", 512, "--seed", 7,
         ],
         capsys,
@@ -142,7 +142,7 @@ def test_fuse_v1_row_shape(tmp_path, capsys, synthetic_frame):
     assert code == cli.EXIT_OK
     fused = kitti.read_feature_map(out_path)
     d_i = 1 + 0 + 3  # c_seg=1, no point features, offset 3
-    assert fused.data.shape == (512, 1, 2 * 4 + d_i)
+    assert fused.data.shape == (512, 1, 2 * 8 + d_i)  # the default operator's D_o is 8
 
 
 @pytest.mark.parametrize("mode", ["v1", "v2"])
@@ -383,10 +383,6 @@ def test_knn_empty_scan_exit_code(synthetic_frame, capsys, verify):
         (lambda f: PREPARE_ARGV["fuse"](f) + ["--seed", -1], "--seed"),
         (lambda f: PREPARE_ARGV["maskgen"](f) + ["--seed", -3], "--seed"),
         (lambda f: ["gradcheck", "--seed", -1], "--seed"),
-        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "0,4"], "--mlp"),
-        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "4"], "--mlp"),
-        (lambda f: _missing_inputs_fuse(f) + ["--mlp", "a,b"], "--mlp"),
-        (lambda f: _missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--mlp", "4,6,3"], "--mlp"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.04,-40,40,-1,3"], "--roi"),
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,0.045,-40,40,-1,3"], "--roi"),  # 0.45 px rounds to none
         (lambda f: _missing_inputs_bev(f) + ["--roi", "0,70,-40,inf,-1,3"], "--roi"),
@@ -396,13 +392,11 @@ def test_knn_empty_scan_exit_code(synthetic_frame, capsys, verify):
         (lambda f: ["knn", f["velodyne"], "--k", 2**63], "--k"),
         (lambda f: ["project", f["velodyne"], f["calib_path"], "--height", 2**63, "--width", 5], "--height"),
         (lambda f: ["gradcheck", "--instances", 2**63], "--instances"),
-        (lambda f: _missing_inputs_fuse(f) + ["--mlp", f"4,{2**63}"], "--mlp"),
     ],
     ids=["roi_count", "roi_reversed", "k_zero", "knn_k_negative", "dist_negative", "dist_nan", "n_sample_zero",
          "height_negative", "width_zero", "maskgen_height_zero", "fuse_seed_negative", "maskgen_seed_negative",
-         "gradcheck_seed_negative", "mlp_zero_width", "mlp_one_width", "mlp_not_int", "mlp_with_params",
-         "bev_roi_thin", "bev_roi_under_half_pixel", "bev_roi_infinite", "fuse_n_sample", "maskgen_n_sample_2_63",
-         "knn_k_2_63", "height_2_63", "instances_2_63", "mlp_width_2_63"],
+         "gradcheck_seed_negative", "bev_roi_thin", "bev_roi_under_half_pixel", "bev_roi_infinite", "fuse_n_sample",
+         "maskgen_n_sample_2_63", "knn_k_2_63", "height_2_63", "instances_2_63"],
 )
 def test_bad_flag_value_exit_code(synthetic_frame, capsys, argv, flag):
     code, out = run(argv(synthetic_frame), capsys)
@@ -420,18 +414,18 @@ def _missing_inputs_bev(f):
     return ["bev-render", f["dir"] / "no.bin", f["dir"] / "no.txt", f["dir"] / "no.pacf", "--out", f["dir"] / "o.ppm"]
 
 
-# Each MemoryError case's first large array takes between 2**60 and 2**63 bytes: more than any machine can
+# Each MemoryError case's first large array takes between 2**59 and 2**63 bytes: more than any machine can
 # map, and less than numpy's size limit, past which numpy raises ValueError instead.
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda f: PREPARE_ARGV["fuse"](f) + ["--mlp", f"4,{2**56}"],  # a (4, 2**56) float64 weight
+        lambda f: PREPARE_ARGV["fuse"](f) + ["--k", 2**56],  # 2**56 float64 aggregation weights
         lambda f: _maskgen_argv(f, f["labels_path"], "m") + ["--height", 2**30, "--width", 2**31],  # uint8 mask
         lambda f: ["knn", f["velodyne"], "--k", 2**58 // len(f["cloud"])],  # an (N, k) int64 table
         lambda f: ["bev-render", f["velodyne"], f["calib_path"], f["featuremap_path"], "--out", f["dir"] / "o.ppm",
                    "--roi", "0,1e8,-5e7,5e7,-1,3"],  # a (1e9, 1e9, 3) uint8 image
     ],
-    ids=["fuse_mlp", "maskgen_height_width", "knn_k", "bev_roi"],
+    ids=["fuse_k", "maskgen_height_width", "knn_k", "bev_roi"],
 )
 def test_oversized_flag_exit_code(synthetic_frame, capsys, argv):
     code, out = run(argv(synthetic_frame), capsys)
@@ -490,19 +484,6 @@ def test_dist_accepts_zero_and_inf():
     parser = cli.build_parser()
     for text, want in (("0", 0.0), ("inf", np.inf), ("2.5", 2.5)):
         assert parser.parse_args(["knn", "scan.bin", "--dist", text]).dist == want
-
-
-def test_fuse_mlp_width_mismatch_before_knn(synthetic_frame, capsys, monkeypatch):
-    f = synthetic_frame
-
-    def no_knn(*args, **kwargs):
-        raise AssertionError("the kNN ran before the --mlp widths were checked")
-
-    monkeypatch.setattr(fusion, "knn_table", no_knn)
-    code, out = run(PREPARE_ARGV["fuse"](f) + ["--mlp", "6,8,8", "--n-sample", 64], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "--mlp: the parameters take rows of width 6 but the rows have width 4" in out.err
-    assert "the frame gives rows of width 4 = 1 semantic + 0 point channels + 3" in out.err
 
 
 def test_fuse_v2_builds_no_operator(synthetic_frame, capsys, monkeypatch):
@@ -582,20 +563,24 @@ def test_fuse_output_overflow_exit_code(synthetic_frame, capsys, source):
 
 
 def test_fuse_default_mlp_is_d_i_8_8(synthetic_frame, capsys):
-    """Without --params or --mlp the operator is MlpSpec.default(D_i, 8): here --mlp 4,8,8."""
+    """Without --params the operator is init_params(MlpSpec.default(D_i, 8), --k, --seed): here D_i is 4."""
     f = synthetic_frame
+    ckpt = f["dir"] / "default.pacw"
+    fusion.save_params(fusion.init_params(fusion.MlpSpec.default(4, 8), 3, seed=0), ckpt)
     outputs = []
-    for extra in ([], ["--mlp", "4,8,8"]):
+    for extra in ([], ["--params", ckpt]):
         code, out = run(PREPARE_ARGV["fuse"](f) + ["--n-sample", 64] + extra, capsys)
         assert code == cli.EXIT_OK and "rows of width 20 " in out.out  # 2 * 8 + 1 semantic + 0 point channels + 3
         outputs.append((f["dir"] / "o.pacf").read_bytes())
     assert outputs[0] == outputs[1]
 
 
-def test_fuse_has_no_dout_flag(synthetic_frame, capsys):
-    code, out = run(PREPARE_ARGV["fuse"](synthetic_frame) + ["--dout", 8], capsys)
+@pytest.mark.parametrize("flag", [["--dout", "8"], ["--mlp", "4,8,8"]], ids=["dout", "mlp"])
+def test_fuse_has_no_dout_flag(synthetic_frame, capsys, flag):
+    """D_o and the widths come from the operator, not from flags."""
+    code, out = run(PREPARE_ARGV["fuse"](synthetic_frame) + flag, capsys)
     assert code == cli.EXIT_USAGE
-    assert "unrecognized arguments: --dout 8" in out.err
+    assert f"unrecognized arguments: {' '.join(flag)}" in out.err
 
 
 def _maskgen_argv(f, labels_path, tag):

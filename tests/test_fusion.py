@@ -60,6 +60,15 @@ def zero_fill_assemble(cloud, semantic, neighbor_idx, semantic_valid, point_feat
     return rows, valid
 
 
+def ascending_slot_sum(v):
+    """Reference slot sum: np.sort over the slots, then the slots added in order, starting from +0.0."""
+    s = np.sort(v, axis=1)
+    total = s[:, 0] + 0.0
+    for j in range(1, s.shape[1]):
+        total += s[:, j]
+    return total
+
+
 def concatenate_forward(rows, params):
     """Reference forward: a separate ReLU output beside each cached pre-activation, blocks joined by np.concatenate."""
     n, k, d_i = rows.shape
@@ -73,8 +82,8 @@ def concatenate_forward(rows, params):
         preacts.append(z)
         h = np.maximum(z, 0.0) if li < len(params.weights) - 1 else z
     y_cc_k = h.reshape(n, k, d_o)
-    y_cc = fusion._sorted_slot_sum(y_cc_k)
-    y_a = fusion._sorted_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
+    y_cc = ascending_slot_sum(y_cc_k)
+    y_a = ascending_slot_sum(params.aggr_weights[None, :, None] * y_cc_k)
     y_pool = rows[:, 0].copy()
     argmax = np.zeros((n, d_i), dtype=np.min_scalar_type(k - 1))
     for s in range(1, k):
@@ -592,6 +601,27 @@ class TestReferenceBits:
             assert same_bits(got_w, want_w)
         assert same_bits(got[2], want[2])
         assert same_bits(got[3], want[3])
+
+
+class TestMlpSpec:
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            ((), "MLP needs at least input and output widths"),
+            ((4,), "MLP needs at least input and output widths"),
+            ((4, 0, 8), r"all layer widths must be positive: \(4, 0, 8\)"),
+            ((4, 8, -1), r"all layer widths must be positive: \(4, 8, -1\)"),
+        ],
+        ids=["no_widths", "one_width", "zero_width", "negative_width"],
+    )
+    def test_widths_rejected(self, widths, message):
+        with pytest.raises(ValueError, match=message):
+            fusion.MlpSpec(widths=widths)
+
+    @pytest.mark.parametrize("d_i, widths", [(4, (4, 8, 8)), (12, (12, 12, 8))], ids=["narrow", "wide"])
+    def test_default_hidden_width_is_max_of_d_i_and_d_o(self, d_i, widths):
+        spec = fusion.MlpSpec.default(d_i, 8)
+        assert spec.widths == widths and (spec.d_i, spec.d_o) == (d_i, 8)
 
 
 _W = (5, 7, 3)  # layer widths of the hand-built PACW files

