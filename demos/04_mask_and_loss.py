@@ -13,7 +13,6 @@ import numpy as np
 from pacfusion import (
     Box3D,
     CalibrationSet,
-    FocalLossConfig,
     PointCloud,
     focal_loss,
     label_points,
@@ -40,9 +39,8 @@ print(f"{int(mask.supervised.sum())} supervised pixels "
 # a confident-but-wrong predictor pays much more than a calibrated one
 uniform = np.full((64, 192), 0.5)
 confident_wrong = np.where(mask.state == 2, 0.1, 0.9)
-cfg = FocalLossConfig()  # alpha 0.25, gamma 2
 for name, preds in [("uniform 0.5", uniform), ("confidently wrong", confident_wrong)]:
-    loss, grad, _ = focal_loss(preds, mask, cfg)
+    loss, grad, _ = focal_loss(preds, mask)  # defaults alpha=0.25, gamma=2
     print(f"focal loss, {name}: {loss:.4f}")
 
 with tempfile.TemporaryDirectory() as tmp:

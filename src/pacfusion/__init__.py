@@ -30,7 +30,6 @@ from .losses import (
     BACKGROUND,
     FOREGROUND,
     UNSUPERVISED,
-    FocalLossConfig,
     SparseMask,
     focal_loss,
     label_points,

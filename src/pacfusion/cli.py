@@ -284,6 +284,7 @@ def _add_neighbors(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", type=_radius, default=np.inf)
 
 
+@functools.cache  # one parser per process: argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pacfusion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,12 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)  # one parser per process: argparse keeps no state between parse_args calls
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -21,18 +21,6 @@ UNSUPERVISED, BACKGROUND, FOREGROUND = 0, 1, 2
 PROB_EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class FocalLossConfig:
-    alpha: float = 0.25
-    gamma: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-
-
 @dataclass
 class SparseMask:
     """Per-pixel supervision state."""
@@ -122,9 +110,11 @@ def _box_image_extent(box: Box3D, calib: CalibrationSet, image_size) -> tuple[in
 def focal_loss(
     predictions: np.ndarray,
     mask: SparseMask,
-    cfg: FocalLossConfig = FocalLossConfig(),
+    *,
+    alpha: float = 0.25,
+    gamma: float = 2.0,
 ) -> tuple[float, np.ndarray, bool]:
-    """Mean focal term over supervised pixels.
+    """Mean focal term over supervised pixels, with weights alpha in (0, 1) and finite gamma >= 0.
 
     predictions: (H, W) foreground probabilities, the shape of the mask.
     Returns (loss, gradient w.r.t. predictions, warning) where warning
@@ -133,6 +123,10 @@ def focal_loss(
     are evaluated on those alone, in row-major order, and scattered into a
     zero gradient.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if predictions.shape != mask.state.shape:
         raise ValueError(f"predictions have shape {predictions.shape} but the mask has shape {mask.state.shape}")
     idx = np.flatnonzero(mask.supervised)
@@ -145,14 +139,14 @@ def focal_loss(
     fg = mask.state.take(idx) == FOREGROUND
 
     p_t = np.where(fg, p, 1.0 - p)
-    alpha_t = np.where(fg, cfg.alpha, 1.0 - cfg.alpha)
-    terms = -alpha_t * (1.0 - p_t) ** cfg.gamma * np.log(p_t)
+    alpha_t = np.where(fg, alpha, 1.0 - alpha)
+    terms = -alpha_t * (1.0 - p_t) ** gamma * np.log(p_t)
     loss = float(terms.sum() / count)
 
     # d/dp_t of the focal term, then chain through p_t = p or 1 - p
     dt = alpha_t * (
-        cfg.gamma * (1.0 - p_t) ** (cfg.gamma - 1.0) * np.log(p_t)
-        - (1.0 - p_t) ** cfg.gamma / p_t
+        gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t)
+        - (1.0 - p_t) ** gamma / p_t
     )
     dp = np.where(fg, dt, -dt) / count
     # clamp saturates the gradient outside (eps, 1 - eps)

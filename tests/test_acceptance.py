@@ -94,7 +94,7 @@ def test_criterion_4_algebraic_reductions():
     state[0, 0] = losses.FOREGROUND
     mask = losses.SparseMask(state=state)
     preds = rng.uniform(0.05, 0.95, size=(6, 6))
-    loss, _, _ = losses.focal_loss(preds, mask, losses.FocalLossConfig(alpha=0.5, gamma=0.0))
+    loss, _, _ = losses.focal_loss(preds, mask, alpha=0.5, gamma=0.0)
     sup = state != losses.UNSUPERVISED
     fg = state == losses.FOREGROUND
     bce = np.where(fg, -np.log(preds), -np.log(1 - preds))

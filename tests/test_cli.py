@@ -744,7 +744,7 @@ def test_main_is_reentrant(synthetic_frame, capsys):
         (["maskgen", "--help"], []),
         (["nonsense"], []),
     ]
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     rounds = []
     for _ in range(2):
         results = []
@@ -757,5 +757,4 @@ def test_main_is_reentrant(synthetic_frame, capsys):
     assert [r[0] for r in rounds[0]] == [cli.EXIT_OK] * 3 + [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_USAGE]
     assert "--n-sample: must be from 1" in rounds[0][3][2] and rounds[0][4][1].startswith("usage: pacfusion maskgen")
     assert rounds[1] == rounds[0]
-    assert cli._parser.cache_info().misses == 1  # build_parser ran once across both rounds
-    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1  # build_parser ran once across both rounds

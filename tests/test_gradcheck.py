@@ -28,11 +28,11 @@ def test_max_fd_error_restores_every_probed_entry():
 def test_focal_check_perturbs_one_prediction_at_a_time(monkeypatch):
     unperturbed, changed = {}, []
 
-    def recording_focal_loss(preds, mask, *args):
+    def recording_focal_loss(preds, mask, *args, **kwargs):
         # an instance's first call, the analytic gradient's, sees its unperturbed predictions
         base = unperturbed.setdefault(id(mask), (mask, preds.copy()))[1]
         changed.append(int(np.count_nonzero(preds != base)))
-        return focal_loss(preds, mask, *args)
+        return focal_loss(preds, mask, *args, **kwargs)
 
     focal_loss = losses.focal_loss
     monkeypatch.setattr(losses, "focal_loss", recording_focal_loss)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pacfusion import geometry, losses
-from pacfusion.losses import BACKGROUND, FOREGROUND, PROB_EPS, UNSUPERVISED, FocalLossConfig, SparseMask
+from pacfusion.losses import BACKGROUND, FOREGROUND, PROB_EPS, UNSUPERVISED, SparseMask
 from pacfusion.types import Box3D, PointCloud
 
 from conftest import make_calib, read_p5
@@ -51,7 +53,7 @@ class TestFocalLoss:
         state[0, 0] = FOREGROUND
         mask = SparseMask(state=state)
         preds = rng.uniform(0.05, 0.95, size=(h, w))
-        loss, _, _ = losses.focal_loss(preds, mask, FocalLossConfig(alpha=0.5, gamma=0.0))
+        loss, _, _ = losses.focal_loss(preds, mask, alpha=0.5, gamma=0.0)
         sup = state != UNSUPERVISED
         fg = state == FOREGROUND
         bce = np.where(fg, -np.log(preds), -np.log(1 - preds))
@@ -77,17 +79,32 @@ class TestFocalLoss:
         with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\).*shape \(2, 3\)"):
             losses.focal_loss(np.full(shape, 0.5), mask)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FocalLossConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            FocalLossConfig(gamma=-1.0)
-        # alpha = 1 weighs every background pixel by 1 - alpha = 0
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.0"):
-            FocalLossConfig(alpha=1.0)
+    # alpha = 1 weighs every background pixel by 1 - alpha = 0; a NaN or infinite gamma gives a NaN gradient
+    @pytest.mark.parametrize("weights, message", [
+        ({"alpha": 0.0}, "alpha must be in (0, 1), got 0.0"),
+        ({"alpha": 1.0}, "alpha must be in (0, 1), got 1.0"),
+        ({"alpha": np.nan}, "alpha must be in (0, 1), got nan"),
+        ({"gamma": -1.0}, "gamma must be finite and >= 0, got -1.0"),
+        ({"gamma": np.nan}, "gamma must be finite and >= 0, got nan"),
+        ({"gamma": np.inf}, "gamma must be finite and >= 0, got inf"),
+    ])
+    def test_config_validation(self, weights, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check runs before any arithmetic
+            with pytest.raises(ValueError) as info:
+                losses.focal_loss(np.array([[0.5]]), _mask_single(FOREGROUND), **weights)
+        assert str(info.value) == message
+
+    def test_gamma_zero_is_accepted(self):
+        loss, _, _ = losses.focal_loss(np.array([[0.5]]), _mask_single(FOREGROUND), gamma=0.0)
+        assert loss == pytest.approx(-0.25 * np.log(0.5), abs=1e-12)
+
+    def test_weights_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            losses.focal_loss(np.array([[0.5]]), _mask_single(FOREGROUND), 0.5)
 
 
-def whole_map_focal_loss(predictions, mask, cfg=FocalLossConfig()):
+def whole_map_focal_loss(predictions, mask, alpha=0.25, gamma=2.0):
     """Reference: the focal term and its derivative evaluated over the whole map, then masked."""
     sup = mask.supervised
     count = int(sup.sum())
@@ -97,12 +114,12 @@ def whole_map_focal_loss(predictions, mask, cfg=FocalLossConfig()):
     p = np.clip(predictions, PROB_EPS, 1.0 - PROB_EPS)
     fg = mask.state == FOREGROUND
     p_t = np.where(fg, p, 1.0 - p)
-    alpha_t = np.where(fg, cfg.alpha, 1.0 - cfg.alpha)
-    terms = -alpha_t * (1.0 - p_t) ** cfg.gamma * np.log(p_t)
+    alpha_t = np.where(fg, alpha, 1.0 - alpha)
+    terms = -alpha_t * (1.0 - p_t) ** gamma * np.log(p_t)
     loss = float(terms[sup].sum() / count)
     dt = alpha_t * (
-        cfg.gamma * (1.0 - p_t) ** (cfg.gamma - 1.0) * np.log(p_t)
-        - (1.0 - p_t) ** cfg.gamma / p_t
+        gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t)
+        - (1.0 - p_t) ** gamma / p_t
     )
     dp = np.where(fg, dt, -dt) / count
     interior = (predictions > PROB_EPS) & (predictions < 1.0 - PROB_EPS)
@@ -128,9 +145,9 @@ class TestFocalLossMatchesWholeMap:
     """The loss read at supervised pixels only gives the whole-map reference's bits."""
 
     @staticmethod
-    def _assert_same(preds, mask, cfg):
-        loss, grad, warn = losses.focal_loss(preds, mask, cfg)
-        want_loss, want_grad, want_warn = whole_map_focal_loss(preds, mask, cfg)
+    def _assert_same(preds, mask, **weights):
+        loss, grad, warn = losses.focal_loss(preds, mask, **weights)
+        want_loss, want_grad, want_warn = whole_map_focal_loss(preds, mask, **weights)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
         assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
@@ -142,18 +159,18 @@ class TestFocalLossMatchesWholeMap:
         preds = _edge_predictions(rng, state)
         mask = SparseMask(state=state)
         assert (state == FOREGROUND).any() and (state == BACKGROUND).any() and (state == UNSUPERVISED).any()
-        cfg = FocalLossConfig(alpha=0.25, gamma=gamma)
-        self._assert_same(preds, mask, cfg)
-        self._assert_same(preds.astype(np.float32), mask, cfg)
-        self._assert_same(np.asfortranarray(preds), mask, cfg)
+        weights = {"alpha": 0.25, "gamma": gamma}
+        self._assert_same(preds, mask, **weights)
+        self._assert_same(preds.astype(np.float32), mask, **weights)
+        self._assert_same(np.asfortranarray(preds), mask, **weights)
         # with NaN and infinite predictions left out the loss is finite, so its bits say more
         finite = np.where(np.isfinite(preds), preds, 0.5)
-        assert np.isfinite(losses.focal_loss(finite, mask, cfg)[0])
-        self._assert_same(finite, mask, cfg)
+        assert np.isfinite(losses.focal_loss(finite, mask, **weights)[0])
+        self._assert_same(finite, mask, **weights)
 
     def test_zero_supervision(self, rng):
         state = np.zeros((9, 11), dtype=np.uint8)
-        self._assert_same(_edge_predictions(rng, state), SparseMask(state=state), FocalLossConfig())
+        self._assert_same(_edge_predictions(rng, state), SparseMask(state=state))
 
 
 class TestLabelPoints:

@@ -110,13 +110,16 @@ MUTANTS = [
      ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
     (CLI, "astype(int), 0, w - 1)", "astype(int), 1, w - 1)",
      ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
-    # one point is a sample; an ROI axis of equal bounds is empty; alpha = 1 is no focal weight; a result file's
-    # score after the 15 label fields is ignored
+    # one point is a sample; an ROI axis of equal bounds is empty; alpha = 1 is no focal weight, gamma = 0 is one and
+    # an infinite gamma is not; a result file's score after the 15 label fields is ignored
     (GEOMETRY, "if n < 1:", "if n <= 1:", ["tests/test_geometry.py::TestSubsample::test_one_point"], None),
     *((GEOMETRY, f"self.{axis}_min < self.{axis}_max", f"self.{axis}_min <= self.{axis}_max",
        [f"tests/test_geometry.py::TestFilterRegion::test_equal_bounds_rejected[{axis}]"], None) for axis in "xyz"),
-    (LOSSES, "0.0 < self.alpha < 1.0", "0.0 < self.alpha <= 1.0",
+    (LOSSES, "0.0 < alpha < 1.0", "0.0 < alpha <= 1.0",
      ["tests/test_losses.py::TestFocalLoss::test_config_validation"], None),
+    (LOSSES, "0.0 <= gamma", "0.0 < gamma", ["tests/test_losses.py::TestFocalLoss::test_gamma_zero_is_accepted"], None),
+    (LOSSES, "gamma < np.inf", "gamma <= np.inf", ["tests/test_losses.py::TestFocalLoss::test_config_validation"],
+     None),
     (KITTI, "fields[8:15]", "fields[8:16]", ["tests/test_kitti_io.py::TestLabels::test_result_score_is_ignored"], None),
 ]
 
