@@ -61,12 +61,12 @@ def random_instance(rng: np.random.Generator):
     dims = FusionDims(c_seg=2, c_lidar=4, d_o=5)
     n = int(rng.integers(1, 5))
     params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 3, seed=int(rng.integers(1 << 30)))
-    params.aggr_weights = rng.normal(size=3)
-    return random_neighbors(rng, n, 3, dims), params
+    params.aggr_weights[:] = rng.normal(size=params.k)
+    return random_neighbors(rng, n, params.k, dims), params
 
 
-def check_pacf_gradients(n_instances: int = 20, seed: int = 0):
-    """Yield max_fd_error of each instance over all MLP weights, biases, aggregation scalars and neighbor rows."""
+def check_pacf_gradients(*, n_instances: int, seed: int):
+    """Yield max_fd_error of n_instances random_instance draws from seed over all weights, biases, scalars and rows."""
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         nf, params = random_instance(rng)
@@ -79,8 +79,8 @@ def check_pacf_gradients(n_instances: int = 20, seed: int = 0):
         yield max_fd_error(objective, arrays, grads, probes)
 
 
-def check_focal_gradients(n_instances: int = 20, seed: int = 0):
-    """Yield max_fd_error of each instance's focal loss gradient, every pixel probed."""
+def check_focal_gradients(*, n_instances: int, seed: int):
+    """Yield max_fd_error of the focal loss gradient of n_instances masks drawn from seed, every pixel probed."""
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         hh, ww = int(rng.integers(2, 6)), int(rng.integers(2, 6))

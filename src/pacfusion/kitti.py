@@ -56,10 +56,6 @@ class CalibrationSet:
             if err > _ORTHO_TOL:
                 raise FormatError(f"{name} rotation not orthonormal (max deviation {err:.2e})")
 
-    @classmethod
-    def identity(cls) -> "CalibrationSet":
-        return cls(np.eye(3, 4), np.eye(3), np.eye(3, 4))
-
 
 def read_velodyne(path) -> PointCloud:
     """Read a KITTI velodyne scan into a point cloud, order preserved."""

@@ -578,6 +578,7 @@ class TestReferenceBits:
         assert fusion._blocks(0) == [(0, 0)]
         assert fusion._blocks(b - 1) == [(0, b - 1)]
         assert fusion._blocks(b) == [(0, b)]
+        assert fusion._blocks(2 * b - 1) == [(0, 2 * b - 1)]
         assert fusion._blocks(2 * b + 1) == [(0, b), (b, 2 * b + 1)]
         assert fusion._blocks(3 * b) == [(0, b), (b, 2 * b), (2 * b, 3 * b)]
 

@@ -17,7 +17,7 @@ def _cloud(xyz):
 
 class TestProjection:
     def test_identity_calib_origin(self):
-        calib = kitti.CalibrationSet.identity()
+        calib = kitti.CalibrationSet(np.eye(3, 4), np.eye(3), np.eye(3, 4))
         # camera frame == lidar frame under identity Tr; point at z=2 ahead
         px = geometry.project_points(_cloud([[0, 0, 2]]), calib, (10, 10))
         assert px.u[0] == 0 and px.v[0] == 0
@@ -25,7 +25,7 @@ class TestProjection:
         assert px.valid[0]
 
     def test_behind_camera_invalid(self):
-        calib = kitti.CalibrationSet.identity()
+        calib = kitti.CalibrationSet(np.eye(3, 4), np.eye(3), np.eye(3, 4))
         px = geometry.project_points(_cloud([[0, 0, -2]]), calib, (10, 10))
         assert not px.valid[0]
 

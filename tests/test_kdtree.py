@@ -253,20 +253,22 @@ def test_nonfinite_point_rejected_without_warnings(rng, bad, row):
             KdTree(pts)
 
 
+_EXTREME_CLOUDS = [
+    # d² overflows to inf between the far points and underflows to 0 between the two near ones
+    np.array([[1e300, 0, 0], [-1e300, 0, 0], [0, 1e-300, 0], [0, 0, 0], [1e300, 1, 0]]),
+    # a span past 2**1023, whose one-cell size would overflow, and one of a few subnormals
+    np.array([[-0.8e308, 0, 0], [0.8e308, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    np.array([[0, 0, 0], [5e-324, 0, 0], [0, 1e-323, 0], [0, 0, 1.5e-323]]),
+    # subnormal d²: both points of the last target's k = 2 query round to a d² whose root is below the
+    # distance of one of them, which lies a cell beyond that root
+    np.array([[1.75, 2, 0], [1.75, 0, 0]]) * 2.0**-537,
+]
+
+
 def test_extreme_coordinates_match_brute_without_warnings():
     with pytest.raises(ValueError, match=UNSEARCHABLE):
         KdTree([[-1e308, 0, 0], [1e308, 0, 0]])
-    clouds = [
-        # d² overflows to inf between the far points and underflows to 0 between the two near ones
-        np.array([[1e300, 0, 0], [-1e300, 0, 0], [0, 1e-300, 0], [0, 0, 0], [1e300, 1, 0]]),
-        # a span past 2**1023, whose one-cell size would overflow, and one of a few subnormals
-        np.array([[-0.8e308, 0, 0], [0.8e308, 0, 0], [0, 0, 0], [0, 1, 0]]),
-        np.array([[0, 0, 0], [5e-324, 0, 0], [0, 1e-323, 0], [0, 0, 1.5e-323]]),
-        # subnormal d²: both points of the last target's k = 2 query round to a d² whose root is below the
-        # distance of one of them, which lies a cell beyond that root
-        np.array([[1.75, 2, 0], [1.75, 0, 0]]) * 2.0**-537,
-    ]
-    for pts in clouds:
+    for pts in _EXTREME_CLOUDS:
         near = np.array([1.486211839459375, 0.8610027580870387, 0]) * 2.0**-537
         targets = np.vstack([pts, [(-1e308, 0, 0), (1e308, 1e308, 0), (0, 0, 5e-324), near]])
         tree = KdTree(pts)
@@ -277,6 +279,34 @@ def test_extreme_coordinates_match_brute_without_warnings():
             want = [knn_brute(pts, t, k) for k in (1, 2, 3) for t in targets]
         for g, w in zip(got, want):
             assert np.array_equal(g.indices, w.indices) and np.array_equal(g.distances, w.distances), (pts, g, w)
+
+
+# d² evaluations of knn_table(pts, 3) today: every answer can stay right while the search does several times the
+# work, so a change may add at most _WORK_MARGIN to a cloud's count; one that adds more is a regression
+_WORK_MARGIN = 0.02
+_WORK_CLOUDS = {
+    "uniform": (lambda: np.random.default_rng(0).uniform([0, -40, -1], [70.4, 40, 3], size=(16_384, 3)), 564_747),
+    "clustered": (lambda: _clustered(np.random.default_rng(12345)), 48_017),
+    "lattice": (lambda: _lattice(None)[0], 7_824),
+    "extreme": (lambda: _EXTREME_CLOUDS[0], 50),
+}
+
+
+@pytest.mark.parametrize("cloud", list(_WORK_CLOUDS))
+def test_knn_table_work_is_pinned(monkeypatch, cloud):
+    make, today = _WORK_CLOUDS[cloud]
+    sqdist, evaluated = kdtree._sqdist, []
+
+    def counting_sqdist(*args):
+        d2 = sqdist(*args)
+        evaluated.append(d2.size)
+        return d2
+
+    monkeypatch.setattr(kdtree, "_sqdist", counting_sqdist)
+    pts = make()
+    knn_table(pts, 3)
+    # each point is at least its own candidate, so a search that stops calling _sqdist cannot pass
+    assert len(pts) <= sum(evaluated) <= today * (1 + _WORK_MARGIN), (sum(evaluated), today)
 
 
 def _lattice_5():

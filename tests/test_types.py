@@ -113,8 +113,10 @@ class TestBox3D:
             Box3D(**{**fields, field: 0.0})
 
     def test_bad_yaw(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ry must lie"):
             Box3D(x=0, y=0, z=0, h=1, w=1, l=1, ry=4.0)
+        for ry in (-np.pi, np.pi):  # the range is closed: a label may write either end
+            assert Box3D(x=0, y=0, z=0, h=1, w=1, l=1, ry=ry).ry == ry
 
     def test_dontcare_skips_validation(self):
         box = Box3D(x=0, y=0, z=0, h=-1, w=-1, l=-1, ry=-10, dontcare=True)

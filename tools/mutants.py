@@ -30,6 +30,7 @@ CLI, FUSION, GEOMETRY, GRADCHECK, KDTREE, KITTI, LOSSES, TYPES = (f"src/pacfusio
     "cli", "fusion", "geometry", "gradcheck", "kdtree", "kitti", "losses", "types"))
 PARAMS_IO, REFERENCE_BITS = (f"tests/test_fusion.py::{cls}" for cls in ("TestParamsIO", "TestReferenceBits"))
 ORACLE = "tests/test_kdtree.py::test_oracle_equivalence"
+WORK = "tests/test_kdtree.py::test_knn_table_work_is_pinned[uniform]"
 ORACLE_CASES = ("uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all")
 
 MUTANTS = [
@@ -51,6 +52,9 @@ MUTANTS = [
     (GRADCHECK, "+ f_minus) / 2 +", "+ f_minus) / 4 +", ["tests/test_gradcheck.py"], None),
     (GRADCHECK, "ROUNDING = 8 *", "ROUNDING = 0 *", ["tests/test_gradcheck.py"], None),
     (GRADCHECK, "worst = np.inf", "worst = max(worst, 0.0)", ["tests/test_gradcheck.py"], None),
+    # the PACF instances have K = 3, and the kink seeds are seeds of those draws
+    (GRADCHECK, "dims.d_o), 3,", "dims.d_o), 4,",
+     ["tests/test_gradcheck.py::test_correct_gradients_pass_across_kinks_and_rounding[24]"], None),
     # the windows of 1 and 2 points are the cases that search with k > _WINDOW
     (KDTREE, "width = min(max(_WINDOW, k), n)", "width = min(_WINDOW, n)",
      [f"{ORACLE}[{case}-leaf{leaf}]" for case in ORACLE_CASES for leaf in (1, 2)],
@@ -65,6 +69,11 @@ MUTANTS = [
      None),
     (KDTREE, "first = np.searchsorted(keys, base | lo[q, 0])", "first = np.searchsorted(keys, base | lo[q, 0] + 1)",
      ["tests/test_kdtree.py"], None),
+    # each mutant leaves every table the same and makes the search evaluate more d²: a wider cube, a Morton code
+    # whose y bits collide with z's, an extra z cell per cube
+    (KDTREE, "np.sqrt(r2) * (1 + 1e-9)", "np.sqrt(r2) * (2 + 1e-9)", [WORK], None),
+    (KDTREE, "(spread[:, 1] << 1)", "(spread[:, 1] << 2)", [WORK], None),
+    (KDTREE, "(hi[qs, 2] >> shift) - z + 1", "(hi[qs, 2] >> shift) - z + 2", [WORK], None),
     # k and d are checked once per table, before it is built
     (KDTREE, "k, d2max = _check_query(k, d)\n", "k, d2max = operator.index(k), float(d) ** 2\n",
      ["tests/test_kdtree.py"], None),
@@ -91,9 +100,12 @@ MUTANTS = [
      [f"{REFERENCE_BITS}::test_slot_256_at_k257_matches_references"], None),
     (FUSION, "range(0, n - _BLOCK + 1, _BLOCK) or [0]", "range(0, n, _BLOCK)",
      [f"{REFERENCE_BITS}::test_block_partition"], None),
-    # a Car box of zero height or width is rejected; a reflectance of exactly 1.0 is valid
+    (FUSION, "n - _BLOCK + 1, _BLOCK)", "n - _BLOCK + 2, _BLOCK)", [f"{REFERENCE_BITS}::test_block_partition"], None),
+    # a Car box of zero height or width is rejected; a yaw of exactly +-pi and a reflectance of exactly 1.0 are valid
     (TYPES, "self.h <= 0", "self.h < 0", ["tests/test_types.py"], None),
     (TYPES, "self.w <= 0", "self.w < 0", ["tests/test_types.py"], None),
+    (TYPES, "(-np.pi <= self.ry", "(-np.pi < self.ry", ["tests/test_types.py::TestBox3D::test_bad_yaw"], None),
+    (TYPES, "self.ry <= np.pi)", "self.ry < np.pi)", ["tests/test_types.py::TestBox3D::test_bad_yaw"], None),
     (TYPES, "self.reflectance.max() <= 1.0", "self.reflectance.max() < 1.0", ["tests/test_types.py"], None),
     # the documented exit codes 2 and 3; a seed of 0 and a count of 1 are valid; gradcheck checks 20 instances
     (CLI, "EXIT_FORMAT = 2", "EXIT_FORMAT = 3", ["tests/test_cli.py::test_format_error_exit_code"], None),
