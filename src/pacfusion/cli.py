@@ -190,6 +190,10 @@ def cmd_knn(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    given = [f"--{name}" for name in ("params", "k", "dist") if getattr(args, name) is not None]
+    if args.mode == "v2" and given:  # input-level fusion runs no operator and no kNN
+        raise ValueError(f"{given[0]} applies to --mode v1 only")
+    k, d = args.k or 3, np.inf if args.dist is None else args.dist
     calib = kitti.read_calib(args.calib)
     fmap = kitti.read_feature_map(args.featuremap)
     size = (fmap.height, fmap.width)
@@ -199,16 +203,16 @@ def cmd_fuse(args) -> int:
         if args.params:
             params = fusion.load_params(args.params)
             try:  # checked before the per-point kNN queries
-                params.check_fit(args.k, d_i)
+                params.check_fit(k, d_i)
             except ValueError as exc:
-                raise ValueError(f"checkpoint {args.params}: {exc} (--k is {args.k}; the frame gives rows of width"
+                raise ValueError(f"checkpoint {args.params}: {exc} (--k is {k}; the frame gives rows of width"
                                  f" {d_i} = {fmap.channels} semantic + 0 point channels + 3)") from None
         else:  # the default operator D_i -> max(D_i, 8) -> 8 always fits
-            params = fusion.init_params(fusion.MlpSpec.default(d_i, 8), args.k, seed=args.seed)
+            params = fusion.init_params(fusion.MlpSpec.default(d_i, 8), k, seed=args.seed)
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         if args.mode == "v1":
-            fused = fusion.fuse_cloud(cloud, fmap, calib, params, args.dist)
+            fused = fusion.fuse_cloud(cloud, fmap, calib, params, d)
         else:  # input-level fusion: each point's retrieved semantics, with no operator
             fused = fusion.retrieve_features(geometry.project_points(cloud, calib, size), fmap)[0]
         rows = fused.astype(np.float32)
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     _add_common(p)
     _add_neighbors(p)
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=cmd_fuse, k=None, dist=None)  # None: not given, which v1 reads as K 3 and d inf
 
     p = sub.add_parser("maskgen", help="sparse mask PGM + per-point label CSV")
     p.add_argument("velodyne")

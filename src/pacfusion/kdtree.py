@@ -86,8 +86,8 @@ class KdTree:
         if not np.isfinite(extent):
             raise ValueError("cannot search non-finite points or points whose span overflows float64")
         exponent = int(np.frexp(extent)[1])  # 2**exponent > extent
-        # cell size exponents, the finest and the one that holds the whole cloud, kept to finite nonzero floats
-        self.levels = (max(exponent - _BITS, -1074), min(exponent + 1, 1023))
+        # cell size exponents, the finest (kept to a nonzero float) and the one that holds the cloud (never a float)
+        self.levels = (max(exponent - _BITS, -1074), exponent + 1)
         self.cells = _cells(points, self.lo, self.levels[0])
         self.most = self.cells.max(axis=0)  # the largest finest cell per axis, where a cube is clipped
         codes = _morton(self.cells)

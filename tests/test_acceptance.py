@@ -52,7 +52,7 @@ def test_criterion_2_forward_oracle():
         params.aggr_weights = rng.normal(size=3)
         out, _ = fusion.pacf_forward(nf, params)
         want = naive_forward(nf.rows, params.weights, params.biases, params.aggr_weights)
-        ok &= np.allclose(out.values, want, atol=1e-12)
+        ok &= np.allclose(out.values, want, rtol=0, atol=1e-12)
         count += 1
     # identity-MLP case: output is the row repeated three times, exactly
     dims = FusionDims(c_seg=1, c_lidar=0, d_o=4)
@@ -88,7 +88,7 @@ def test_criterion_4_algebraic_reductions():
     params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 4, seed=1)
     params.aggr_weights = np.ones(4)
     out, _ = fusion.pacf_forward(nf, params)
-    ok &= np.allclose(out.values[:, dims.d_o : 2 * dims.d_o], out.values[:, : dims.d_o], atol=1e-10)
+    ok &= np.allclose(out.values[:, dims.d_o : 2 * dims.d_o], out.values[:, : dims.d_o], rtol=0, atol=1e-10)
     # gamma=0, alpha=0.5 halves binary cross-entropy on supervised pixels
     state = rng.integers(0, 3, size=(6, 6)).astype(np.uint8)
     state[0, 0] = losses.FOREGROUND
@@ -133,7 +133,7 @@ def test_criterion_6_permutation_properties():
     a, _ = fusion.pacf_forward(nf, params)
     nf_rev = fusion.NeighborFeatures(rows=nf.rows[:, ::-1], valid=nf.valid[:, ::-1], dims=dims)
     b, _ = fusion.pacf_forward(nf_rev, params)
-    ok &= not np.allclose(a.values[:, d_o : 2 * d_o], b.values[:, d_o : 2 * d_o])
+    ok &= not np.allclose(a.values[:, d_o : 2 * d_o], b.values[:, d_o : 2 * d_o], rtol=1e-5)
     report("criterion 6: permutation properties (100 permutations)", ok)
 
 

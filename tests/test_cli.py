@@ -505,11 +505,21 @@ def test_fuse_v2_builds_no_operator(synthetic_frame, capsys, monkeypatch):
                          (kdtree, "knn_table")):
         monkeypatch.setattr(module, name, no_operator)
     (f["dir"] / "o.pacf").unlink()
-    # v2 never reads the checkpoint, so a file that is not one must not fail the run
-    code, out = run(argv + ["--params", f["calib_path"]], capsys)
+    code, out = run(argv, capsys)
     assert code == cli.EXIT_OK
     assert (out.out, out.err) == (want.out, want.err)
     assert (f["dir"] / "o.pacf").read_bytes() == want_bytes
+
+
+@pytest.mark.parametrize("flag, value", [("--params", "/nonexistent.pacw"), ("--k", "3"), ("--dist", "inf")],
+                         ids=["params", "k", "dist"])
+def test_fuse_v2_rejects_the_operator_flags(synthetic_frame, capsys, flag, value):
+    """v2 runs no operator and no kNN, so their flags are a usage error, even at v1's default values."""
+    f = synthetic_frame
+    code, out = run(PREPARE_ARGV["fuse"](f) + ["--mode", "v2", flag, value], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out.err == f"error: {flag} applies to --mode v1 only\n"
+    assert not (f["dir"] / "o.pacf").exists()
 
 
 @pytest.mark.parametrize("box", ["-1 1 1 0 0 5 0", "1 1 1 0 0 5 4"], ids=["negative_height", "ry_outside_pi"])
@@ -696,28 +706,21 @@ def _bev_render_default_roi(f) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(704, 800, 3)
 
 
-def test_bev_render_clips_points_on_the_lower_bounds(synthetic_frame):
-    """The ROI's lower x and y bounds are closed: points on them land in the last row and column."""
+# the float32 nearest 70.4 lies above it, outside the crop; 70.4 - 1e-5 rounds to one below it
+@pytest.mark.parametrize("points, row, col", [([(0.0, 5.0, 0.5), (20.0, -40.0, 0.5)], 703, 799),
+                                              ([(70.4 - 1e-5, 5.0, 0.5), (20.0, 40.0, 0.5)], 0, 0)],
+                         ids=["lower", "upper"])
+def test_bev_render_clips_points_on_the_roi_bounds(synthetic_frame, points, row, col):
+    """Points on the ROI's closed lower x and y bounds land in the last row and column, points within one pixel
+    of its upper bounds in the first: x = 0 is row 704 before the clip, y = -40 column 800."""
     f = synthetic_frame
     scan = kitti.read_velodyne(f["velodyne"])
-    xyz = np.vstack((scan.xyz, [(0.0, 5.0, 0.5), (20.0, -40.0, 0.5)]))
+    xyz = np.vstack((scan.xyz, points))
     kitti.write_velodyne(PointCloud(xyz=xyz, reflectance=np.resize(scan.reflectance, len(xyz))), f["velodyne"])
     img = _bev_render_default_roi(f)
-    # a stamped pixel has green 64; x = 0 is row 704 before the clip, y = -40 column 800
-    assert np.flatnonzero(img[703, :, 1]).tolist() == [350]
-    assert np.flatnonzero(img[:, 799, 1]).tolist() == [504]
-
-
-def test_bev_render_clips_points_on_the_upper_bounds(synthetic_frame):
-    """Points within one pixel of the ROI's upper x and y bounds land in the first row and column."""
-    f = synthetic_frame
-    scan = kitti.read_velodyne(f["velodyne"])
-    # the float32 nearest 70.4 lies above it, outside the crop; 70.4 - 1e-5 rounds to one below it
-    xyz = np.vstack((scan.xyz, [(70.4 - 1e-5, 5.0, 0.5), (20.0, 40.0, 0.5)]))
-    kitti.write_velodyne(PointCloud(xyz=xyz, reflectance=np.resize(scan.reflectance, len(xyz))), f["velodyne"])
-    img = _bev_render_default_roi(f)
-    assert np.flatnonzero(img[0, :, 1]).tolist() == [350]
-    assert np.flatnonzero(img[:, 0, 1]).tolist() == [504]
+    # a stamped pixel has green 64
+    assert np.flatnonzero(img[row, :, 1]).tolist() == [350]
+    assert np.flatnonzero(img[:, col, 1]).tolist() == [504]
 
 
 def test_bev_render_all_zero_map(synthetic_frame):

@@ -186,32 +186,18 @@ class TestForward:
             out, _ = fusion.pacf_forward(nf, params)
             assert out.values.shape == (3, 2 * dims.d_o + dims.d_i)
 
-    def test_permutation_invariance_sum_and_pool(self, rng):
-        dims = FusionDims(c_seg=2, c_lidar=1, d_o=4)
-        nf = random_neighbors(rng, 4, 5, dims)
-        params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), 5, seed=2)
-        params.aggr_weights = np.full(5, 0.37)
-        base, _ = fusion.pacf_forward(nf, params)
-        for _ in range(10):
-            perm = rng.permutation(5)
-            nf2 = fusion.NeighborFeatures(
-                rows=nf.rows[:, perm], valid=nf.valid[:, perm], dims=dims
-            )
-            out, _ = fusion.pacf_forward(nf2, params)
-            # equal w_k: the whole output is slot-permutation invariant
-            np.testing.assert_array_equal(out.values, base.values)
-
-    def test_permutation_invariance_backbone_width(self, rng):
+    @pytest.mark.parametrize("dims, n, seed", [(FusionDims(c_seg=2, c_lidar=1, d_o=4), 4, 2), (BACKBONE, 64, 6)],
+                             ids=["small", "backbone_width"])
+    def test_permutation_invariance_with_equal_weights(self, rng, dims, n, seed):
+        """Equal w_k: the whole output is slot-permutation invariant, bit for bit."""
         k = 5
-        nf = random_neighbors(rng, 64, k, BACKBONE)
-        params = fusion.init_params(fusion.MlpSpec.default(BACKBONE.d_i, BACKBONE.d_o), k, seed=6)
+        nf = random_neighbors(rng, n, k, dims)
+        params = fusion.init_params(fusion.MlpSpec.default(dims.d_i, dims.d_o), k, seed=seed)
         params.aggr_weights = np.full(k, 0.37)
         base, _ = fusion.pacf_forward(nf, params)
-        for _ in range(5):
+        for _ in range(10):
             perm = rng.permutation(k)
-            nf2 = fusion.NeighborFeatures(
-                rows=nf.rows[:, perm], valid=nf.valid[:, perm], dims=BACKBONE
-            )
+            nf2 = fusion.NeighborFeatures(rows=nf.rows[:, perm], valid=nf.valid[:, perm], dims=dims)
             out, _ = fusion.pacf_forward(nf2, params)
             np.testing.assert_array_equal(out.values, base.values)
 

@@ -66,14 +66,6 @@ class TestVelodyne:
         np.testing.assert_array_equal(cloud.xyz, records[:, :3])
         np.testing.assert_array_equal(cloud.reflectance, records[:, 3])
 
-    def test_roundtrip_random(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(0, 50))
-            xyz = rng.uniform(-100, 100, size=(n, 3)).astype(np.float32)
-            refl = rng.uniform(0, 1, size=n).astype(np.float32)
-            raw = np.hstack([xyz, refl[:, None]]).astype("<f4").tobytes()
-            assert kitti.encode_velodyne(kitti.decode_velodyne(raw)) == raw
-
 
 class TestCalib:
     def test_identity(self, tmp_path):
@@ -339,16 +331,6 @@ class TestFeatureMapContainer:
         path.write_bytes(raw)
         with pytest.raises(kitti.FormatError, match=f"^{re.escape(f'feature-map container: {message}')}$"):
             kitti.read_feature_map(path)
-
-    def test_roundtrip_random_dims(self, tmp_path, rng):
-        for i in range(20):
-            h, w, c = (int(rng.integers(1, 65)) for _ in range(3))
-            data = rng.normal(size=(h, w, c)).astype(np.float32).astype(np.float64)
-            path = tmp_path / f"r{i}.pacf"
-            kitti.write_feature_map(FeatureMap(data=data), path)
-            raw1 = path.read_bytes()
-            kitti.write_feature_map(kitti.read_feature_map(path), path)
-            assert path.read_bytes() == raw1
 
 
 class TestPgm:

@@ -39,15 +39,6 @@ class TestFusionDims:
             dims = FusionDims(c_seg, c_lidar, d_o)
             assert dims.d_i - c_seg - c_lidar == 3
 
-    def test_out_width_monotone(self):
-        def out_width(dims):
-            return 2 * dims.d_o + dims.d_i
-
-        base = out_width(FusionDims(2, 2, 2))
-        assert out_width(FusionDims(3, 2, 2)) > base
-        assert out_width(FusionDims(2, 3, 2)) > base
-        assert out_width(FusionDims(2, 2, 3)) > base
-
 
 class TestPointCloud:
     def test_length_mismatch(self):

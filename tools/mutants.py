@@ -119,9 +119,9 @@ MUTANTS = [
      ["tests/test_cli.py::test_empty_scan_exit_code"], None),
     # a point within one pixel of the ROI's upper x or y bound lands in row or column 0
     (CLI, "astype(int), 0, h - 1)", "astype(int), 1, h - 1)",
-     ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
+     ["tests/test_cli.py::test_bev_render_clips_points_on_the_roi_bounds[upper]"], None),
     (CLI, "astype(int), 0, w - 1)", "astype(int), 1, w - 1)",
-     ["tests/test_cli.py::test_bev_render_clips_points_on_the_upper_bounds"], None),
+     ["tests/test_cli.py::test_bev_render_clips_points_on_the_roi_bounds[upper]"], None),
     # one point is a sample; an ROI axis of equal bounds is empty; alpha = 1 is no focal weight, gamma = 0 is one and
     # an infinite gamma is not; a result file's score after the 15 label fields is ignored
     (GEOMETRY, "if n < 1:", "if n <= 1:", ["tests/test_geometry.py::TestSubsample::test_one_point"], None),
