@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -91,8 +90,8 @@ def _radius(text: str) -> float:
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
 
 
-def _csv_rows(*columns: np.ndarray) -> str:
-    """Comma-separated lines, one per row of the equal-length 1-D columns.
+def _csv_rows(*columns: np.ndarray) -> bytes:
+    """Comma-separated ASCII lines, one per row of the equal-length 1-D columns.
 
     A signed int or bool column prints as `%d`, a float column as `%.6f`, each cell
     byte for byte as `%` prints it. Every cell goes into one (rows, width)
@@ -102,7 +101,7 @@ def _csv_rows(*columns: np.ndarray) -> str:
     comma, newline = (np.full((len(columns[0]), 1), ord(c), dtype=np.uint8) for c in ",\n")
     pieces = [piece for col in columns for piece in (_column_cells(col), comma)]
     pieces[-1] = newline
-    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
 def _column_cells(col: np.ndarray) -> np.ndarray:
@@ -165,7 +164,7 @@ def cmd_project(args) -> int:
     calib = kitti.read_calib(args.calib)
     pixels = geometry.project_points(cloud, calib, (args.height, args.width))
     rows = _csv_rows(np.arange(len(pixels)), pixels.u, pixels.v, pixels.depth, pixels.valid)
-    sys.stdout.write("index,u,v,depth,valid\n" + rows)
+    sys.stdout.write("index,u,v,depth,valid\n" + rows.decode("ascii"))
     return EXIT_OK
 
 
@@ -175,7 +174,7 @@ def cmd_knn(args) -> int:
         raise ValueError(f"{args.velodyne}: 0 points")
     idx = kdtree.knn_table(cloud.xyz, args.k, args.dist)
     print("index," + ",".join(f"n{j}" for j in range(args.k)))
-    sys.stdout.write(_csv_rows(np.arange(len(cloud)), *idx.T))
+    sys.stdout.write(_csv_rows(np.arange(len(cloud)), *idx.T).decode("ascii"))
     if args.verify:
         mismatches = 0
         for i in range(len(cloud)):
@@ -233,7 +232,7 @@ def cmd_maskgen(args) -> int:
     mask = losses.make_sparse_mask(cloud, fg, calib, image_size, dontcare_boxes=dontcare)
     mask.to_pgm(args.out_mask)
     rows = _csv_rows(np.arange(len(cloud)), *cloud.xyz.T, fg)
-    Path(args.out_labels).write_text("index,x,y,z,foreground\n" + rows)
+    kitti._write(args.out_labels, b"index,x,y,z,foreground\n", rows)
     n_sup = int(mask.supervised.sum())
     print(f"mask {args.width}x{args.height}: {n_sup} supervised pixels, {int(fg.sum())} foreground points")
     return EXIT_OK
@@ -272,7 +271,7 @@ def cmd_bev_render(args) -> int:
     # the highest point index wins a pixel: in reverse order it is the first occurrence
     pix, first = np.unique((rows * w + cols)[::-1], return_index=True)
     img.reshape(-1, 3)[pix] = colors[::-1][first]
-    Path(args.out).write_bytes(f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
+    kitti._write(args.out, f"P6\n{w} {h}\n255\n".encode(), img)
     print(f"wrote {w}x{h} BEV render to {args.out}")
     return EXIT_OK
 

@@ -10,10 +10,17 @@ Supported formats
   (type, truncation, occlusion, alpha, 2D bbox, h w l, x y z, ry, ...).
 * Feature-map container: magic ``PACF``, version u16, H/W/C u32, then
   H*W*C little-endian float32 values, row-major, channel-minor.
+
+Input files are mapped read-only, not copied (`_map`); outputs are written
+without joined copies (`_write`).
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -57,13 +64,41 @@ class CalibrationSet:
                 raise FormatError(f"{name} rotation not orthonormal (max deviation {err:.2e})")
 
 
+def _map(path):
+    """The file's bytes: a read-only map of a regular file, read whole from anything else.
+
+    `mmap` cannot map 0 bytes, so an empty regular file gives b"", and it cannot map a pipe
+    (or /dev/stdin fed by one), so a pipe is read as `Path.read_bytes` reads it.
+    """
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return f.read()
+        if info.st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _write(path, *parts) -> None:
+    """Write the parts (bytes or C-contiguous arrays) to the file back to back, without joining them first.
+
+    A regular file is cut to its new length after the parts are written, not when it is opened,
+    so a map read from the file and written back to it is read before the file is cut.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        for part in parts:
+            f.write(part)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a pipe or a device cannot be cut
+            f.truncate()
+
+
 def read_velodyne(path) -> PointCloud:
-    """Read a KITTI velodyne scan into a point cloud, order preserved."""
-    raw = Path(path).read_bytes()
-    return decode_velodyne(raw)
+    """Read a KITTI velodyne scan into a point cloud, order preserved; the cloud shares no memory with the file."""
+    return decode_velodyne(_map(path))
 
 
-def decode_velodyne(raw: bytes) -> PointCloud:
+def decode_velodyne(raw) -> PointCloud:
+    """Decode the packed records of a bytes-like object into fresh float64 arrays."""
     if len(raw) % VELO_RECORD_BYTES != 0:
         offset = len(raw) - len(raw) % VELO_RECORD_BYTES
         raise FormatError(
@@ -101,7 +136,7 @@ _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
 def _read_text(path) -> str:
     """The file's text, decoded as UTF-8; a byte that does not decode is a FormatError."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return str(_map(path), "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text, byte {exc.start}: {exc.reason}") from None
 
@@ -135,6 +170,17 @@ def read_calib(path) -> CalibrationSet:
     return CalibrationSet(**values)
 
 
+# fields 1-7 of a label line, checked to be finite numbers but not read (the 2D box is unused)
+_LABEL_FIELDS = ("truncation", "occlusion", "alpha", "2D box left", "2D box top", "2D box right", "2D box bottom")
+
+
+def _finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def read_labels(path) -> list[Box3D]:
     """Parse a KITTI label file; DontCare entries retained but flagged."""
     boxes = []
@@ -144,6 +190,9 @@ def read_labels(path) -> list[Box3D]:
         fields = line.split()
         if len(fields) < 15:
             raise FormatError(f"label line {lineno}: expected >= 15 fields, got {len(fields)}")
+        for i, name in enumerate(_LABEL_FIELDS, start=1):
+            if not _finite(fields[i]):
+                raise FormatError(f"label line {lineno}: field {i} ({name}) is not a finite number: {fields[i]!r}")
         kind = fields[0]
         try:
             h, w, l, x, y, z, ry = map(float, fields[8:15])
@@ -158,13 +207,17 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
     header = FEATUREMAP_MAGIC + struct.pack(
         "<HIII", FEATUREMAP_VERSION, fmap.height, fmap.width, fmap.channels
     )
-    payload = fmap.data.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write(path, header, np.ascontiguousarray(fmap.data, dtype="<f4"))
 
 
 def read_feature_map(path) -> FeatureMap:
-    """Read the PACF container as a float32 map over the file's bytes (read-only)."""
-    raw = Path(path).read_bytes()
+    """Read the PACF container as a read-only float32 map that views the file's pages.
+
+    Rewriting the file while the map is in use may change the map, or end the
+    process with SIGBUS if the file gets shorter. `write_feature_map` of this
+    same map back to its file is safe: it reads the map before it cuts the file.
+    """
+    raw = _map(path)
     if len(raw) < 18 or raw[:4] != FEATUREMAP_MAGIC:
         raise FormatError("feature-map container: bad magic")
     version, h, w, c = struct.unpack("<HIII", raw[4:18])
@@ -183,6 +236,6 @@ def read_feature_map(path) -> FeatureMap:
 
 def write_pgm(grid: np.ndarray, path) -> None:
     """Write a uint8 H x W grid as binary PGM (P5, maxval 255)."""
-    grid = np.asarray(grid, dtype=np.uint8)
+    grid = np.ascontiguousarray(grid, dtype=np.uint8)
     h, w = grid.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + grid.tobytes())
+    _write(path, f"P5\n{w} {h}\n255\n".encode(), grid)

@@ -1,4 +1,7 @@
+import contextlib
+import os
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from pacfusion import cli, fusion, geometry, kdtree, kitti, losses
 from pacfusion.types import PointCloud
 
-from conftest import read_p5
+from conftest import read_p5, run_cli
 
 
 def run(argv, capsys=None):
@@ -90,10 +93,10 @@ def _table(n):
 def test_csv_rows_matches_percent(table):
     """Every cell as % prints it: int64 (int64 min too) and bool cells as %d, float edge values as %.6f."""
     ints, floats, flags = table
-    assert cli._csv_rows(*ints.T) == "".join("%d,%d\n" % tuple(row) for row in ints.tolist())
+    assert cli._csv_rows(*ints.T) == "".join("%d,%d\n" % tuple(row) for row in ints.tolist()).encode()
     got = cli._csv_rows(ints[:, 0], *floats.T, flags, ints[:, 1])
     rows = zip(ints[:, 0].tolist(), floats.tolist(), flags.tolist(), ints[:, 1].tolist())
-    assert got == "".join("%d,%.6f,%.6f,%.6f,%d,%d\n" % (i, *xyz, f, j) for i, xyz, f, j in rows)
+    assert got == "".join("%d,%.6f,%.6f,%.6f,%d,%d\n" % (i, *xyz, f, j) for i, xyz, f, j in rows).encode()
 
 
 def test_csv_rows_matches_fstring_loop():
@@ -102,9 +105,9 @@ def test_csv_rows_matches_fstring_loop():
     )
     fg = np.array([True, False, True])
     want = "".join(f"{i},{x:.6f},{y:.6f},{z:.6f},{int(fg[i])}\n" for i, (x, y, z) in enumerate(xyz))
-    assert cli._csv_rows(np.arange(3), *xyz.T, fg) == want
+    assert cli._csv_rows(np.arange(3), *xyz.T, fg) == want.encode()
     assert want.startswith("0,-0.000000,0.000000,1000000.000000,1\n1,")
-    assert cli._csv_rows(np.zeros(0, dtype=np.int64), np.zeros(0)) == ""
+    assert cli._csv_rows(np.zeros(0, dtype=np.int64), np.zeros(0)) == b""
 
 
 def test_knn_verify(tmp_path, capsys, monkeypatch):
@@ -522,11 +525,17 @@ def test_fuse_v2_rejects_the_operator_flags(synthetic_frame, capsys, flag, value
     assert not (f["dir"] / "o.pacf").exists()
 
 
-@pytest.mark.parametrize("box", ["-1 1 1 0 0 5 0", "1 1 1 0 0 5 4"], ids=["negative_height", "ry_outside_pi"])
-def test_maskgen_bad_box_exit_code(synthetic_frame, capsys, box):
+@pytest.mark.parametrize(
+    "line",
+    ["Car 0.0 0 0.0 0 0 10 10 -1 1 1 0 0 5 0", "Car 0.0 0 0.0 0 0 10 10 1 1 1 0 0 5 4",
+     "Car 0.00 0 -1.58 nan 170.0 600.0 190.0 1 1 1 0 0 5 0", "Car nan 0 inf 500.0 170.0 600.0 190.0 1 1 1 0 0 5 0",
+     "Car 0.00 zero -1.58 587 173 614 200 1 1 1 0 0 5 0"],
+    ids=["negative_height", "ry_outside_pi", "box_left_nan", "truncation_nan", "occlusion_text"],
+)
+def test_maskgen_bad_box_exit_code(synthetic_frame, capsys, line):
     f = synthetic_frame
     labels = f["dir"] / "bad_labels.txt"
-    labels.write_text(f"Car 0.0 0 0.0 0 0 10 10 {box}\n")
+    labels.write_text(line + "\n")
     code, out = run(_maskgen_argv(f, labels, "bad"), capsys)
     assert code == cli.EXIT_FORMAT
     assert out.err.startswith("format error: label line 1:")
@@ -734,6 +743,71 @@ def test_bev_render_all_zero_map(synthetic_frame):
     assert len(stamped) > 100
     assert (stamped == (0, 64, 255)).all()
     assert not pixels[pixels[:, 1] != 64].any()
+
+
+@contextlib.contextmanager
+def _fed_through_fifo(path, data: bytes):
+    """A FIFO at path, fed `data` by a writer thread once a reader opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fifo:
+            fifo.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield path
+    finally:
+        if writer.is_alive():  # a reader that never came: open one, so that the writer's open returns
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+
+
+SCAN_ARGV = {"knn": lambda f: ["knn", f["velodyne"]], "fuse": lambda f: PREPARE_ARGV["fuse"](f) + ["--n-sample", 256]}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_ARGV))
+def test_scan_through_a_fifo(synthetic_frame, capsys, command):
+    """A scan fed through a FIFO, which cannot be mapped, gives what the same scan in a file gives."""
+    f = synthetic_frame
+
+    def outputs(frame):
+        code, out = run(SCAN_ARGV[command](frame), capsys)
+        return code, out, (f["dir"] / "o.pacf").read_bytes() if command == "fuse" else None
+
+    want = outputs(f)
+    with _fed_through_fifo(f["dir"] / "scan.fifo", f["velodyne"].read_bytes()) as fifo:
+        got = outputs(dict(f, velodyne=fifo))
+    assert want[0] == cli.EXIT_OK and got == want
+
+
+@pytest.mark.parametrize("command", [["fuse", "--mode", "v1", "--n-sample", 256], ["fuse", "--mode", "v2"],
+                                     ["bev-render"]], ids=["fuse_v1", "fuse_v2", "bev_render"])
+def test_output_over_its_own_feature_map(synthetic_frame, command):
+    """--out naming the command's own feature map writes what another --out path gets: the mapped map is not
+    read once the output file is written. Each run is a child process, where reading a file cut under its map
+    ends in SIGBUS instead of ending the test session."""
+    f = synthetic_frame
+    name, *flags = command
+
+    def run_onto(fmap, out):
+        code, _, err = run_cli([name, f["velodyne"], f["calib_path"], fmap, "--out", out, *flags], f["dir"])
+        assert code == cli.EXIT_OK, err.decode()
+        return out.read_bytes()
+
+    own = f["dir"] / "own.pacf"
+    own.write_bytes(f["featuremap_path"].read_bytes())
+    assert run_onto(own, own) == run_onto(f["featuremap_path"], f["dir"] / "apart")
+
+
+def test_outputs_to_a_device(synthetic_frame, capsys):
+    """A device such as /dev/null takes the outputs as before: a file that cannot be cut is not cut."""
+    f = synthetic_frame
+    argv = ["maskgen", f["velodyne"], f["calib_path"], f["labels_path"], "--height", 64, "--width", 192,
+            "--out-mask", os.devnull, "--out-labels", os.devnull]
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_OK, out.err
 
 
 def test_main_is_reentrant(synthetic_frame, capsys):

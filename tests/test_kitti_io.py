@@ -58,6 +58,16 @@ class TestVelodyne:
         raw = struct.pack("<4f", 1, 2, 3, 1.0) + struct.pack("<4f", 4, 5, 6, 0.0)
         assert kitti.decode_velodyne(raw).reflectance.tolist() == [1.0, 0.0]
 
+    def test_cloud_shares_no_memory_with_its_file(self, tmp_path, rng):
+        """The scan is mapped only while it is decoded: rewriting the file leaves a cloud read from it unchanged."""
+        records = np.hstack([rng.uniform(-100, 100, size=(300, 3)), rng.uniform(0, 1, size=(300, 1))]).astype("<f4")
+        path = tmp_path / "scan.bin"
+        path.write_bytes(records.tobytes())
+        cloud = kitti.read_velodyne(path)
+        path.write_bytes(np.ones_like(records).tobytes())  # same length, other values
+        np.testing.assert_array_equal(cloud.xyz, records[:, :3])
+        np.testing.assert_array_equal(cloud.reflectance, records[:, 3])
+
     def test_decode_widens_into_contiguous_arrays(self, rng):
         records = np.hstack([rng.uniform(-100, 100, size=(300, 3)), rng.uniform(0, 1, size=(300, 1))]).astype("<f4")
         cloud = kitti.decode_velodyne(records.tobytes())
@@ -199,6 +209,27 @@ class TestLabels:
         with pytest.raises(kitti.FormatError, match="label line 2:"):
             kitti.read_labels(path)
 
+    @pytest.mark.parametrize(
+        "head, field, name, text",
+        [("Car 0.00 0 -1.58 nan 170.0 600.0 190.0", 4, "2D box left", "nan"),
+         ("Car nan 0 inf 500.0 170.0 600.0 190.0", 1, "truncation", "nan"),
+         ("Car 0.00 zero -1.58 587 173 614 200", 2, "occlusion", "zero"),
+         ("Car 0.00 0 inf 587 173 614 200", 3, "alpha", "inf"),
+         ("Car 0.00 0 -1.58 587 -inf 614 200", 5, "2D box top", "-inf"),
+         ("Car 0.00 0 -1.58 587 173 1e400 200", 6, "2D box right", "1e400"),
+         ("DontCare -1 -1 -10 503 169 590 -", 7, "2D box bottom", "-")],
+        ids=["box_left_nan", "truncation_nan", "occlusion_text", "alpha_inf", "box_top_minus_inf",
+             "box_right_overflow", "dontcare_box_bottom_text"],
+    )
+    def test_bad_unread_field_names_line_and_field(self, tmp_path, head, field, name, text):
+        """Fields 1-7 are not read, yet each must be a finite number, as the 3D fields must."""
+        path = tmp_path / "labels.txt"
+        path.write_text(f"Car 0.00 0 -1.58 587 173 614 200 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59\n"
+                        f"{head} 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59\n")
+        message = f"label line 2: field {field} ({name}) is not a finite number: {text!r}"
+        with pytest.raises(kitti.FormatError, match=f"^{re.escape(message)}$"):
+            kitti.read_labels(path)
+
     def test_result_score_is_ignored(self, tmp_path):
         """A KITTI result line appends a score after the 15 label fields; the box is the label line's."""
         line = "Car 0.00 0 -1.58 587 173 614 200 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -248,6 +279,15 @@ class TestFeatureMapContainer:
         back = kitti.read_feature_map(path)
         assert back.data.dtype == np.float32
         assert back.data.tobytes() == data.tobytes()
+
+    def test_read_map_is_read_only(self, tmp_path):
+        """The map views its file through a read-only mapping, so no write can reach the file."""
+        path = tmp_path / "m.pacf"
+        kitti.write_feature_map(FeatureMap(data=np.ones((2, 3, 4), dtype=np.float32)), path)
+        data = kitti.read_feature_map(path).data
+        assert not data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data[0, 0, 0] = 2.0
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.pacf"

@@ -127,12 +127,13 @@ def calib_bytes(draw):
 
 @st.composite
 def labels_bytes(draw):
-    """Label lines with bad, non-finite or out-of-range box fields, short lines, DontCare and blank lines."""
+    """Label lines with bad, non-finite or out-of-range fields, short lines, DontCare and blank lines."""
     lines = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["Car", "Pedestrian", "DontCare"]))
-        box = [1.6, 1.7, 3.9, -1.0, 1.0, 15.0, 0.3]
-        lines.append(f"{kind} 0.00 0 0.0 0 0 10 10 {_fields(draw, box, 2)}")
+        # fields 1-7: truncation, occlusion, alpha and the 2D box; 8-14: the 3D box h w l x y z ry
+        values = ["0.00", 0, 0.0, 0, 0, 10, 10, 1.6, 1.7, 3.9, -1.0, 1.0, 15.0, 0.3]
+        lines.append(f"{kind} {_fields(draw, values, 3)}")
     lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "Car 1 2 3"])))
     return draw(_mutate("\n".join(lines).encode(), 0))
 

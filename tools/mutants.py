@@ -133,6 +133,21 @@ MUTANTS = [
     (LOSSES, "gamma < np.inf", "gamma <= np.inf", ["tests/test_losses.py::TestFocalLoss::test_config_validation"],
      None),
     (KITTI, "fields[8:15]", "fields[8:16]", ["tests/test_kitti_io.py::TestLabels::test_result_score_is_ignored"], None),
+    # an input is mapped read-only; a pipe is read, not mapped; an empty file is not mapped
+    (KITTI, "access=mmap.ACCESS_READ", "access=mmap.ACCESS_COPY",
+     ["tests/test_kitti_io.py::TestFeatureMapContainer::test_read_map_is_read_only"], None),
+    (KITTI, "if not stat.S_ISREG(info.st_mode):", "if stat.S_ISREG(info.st_mode):",
+     ["tests/test_cli.py::test_scan_through_a_fifo"], None),
+    (KITTI, "if info.st_size == 0:", "if info.st_size < 0:",
+     ["tests/test_cli.py::test_empty_scan_exit_code", "tests/test_kitti_io.py::TestVelodyne::test_empty_file",
+      "tests/test_kitti_io.py::TestFeatureMapContainer::test_header_rejected[empty]"], None),
+    # an output file is cut to its new length after it is written, unless it is a device
+    (KITTI, "f.truncate()", "f.flush()", ["tests/test_cli.py::test_output_over_its_own_feature_map"], None),
+    (KITTI, "if stat.S_ISREG(os.fstat(f.fileno()).st_mode):", "if True:",
+     ["tests/test_cli.py::test_outputs_to_a_device"], None),
+    # fields 1-7 of a label line must be finite numbers
+    (KITTI, "if not _finite(fields[i]):", "if False:",
+     ["tests/test_kitti_io.py::TestLabels::test_bad_unread_field_names_line_and_field"], None),
 ]
 
 
