@@ -46,14 +46,16 @@ class RegionOfInterest:
 
 
 def _affine_rows(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """rows @ m[:, :3].T for (N, 3) rows, plus the offset column m[:, 3] when m is 3x4.
+    """rows @ m[:, :3].T for (N, 3) rows, plus the offset column m[:, 3] when m is 3x4; column-major like a cloud.
 
     The product takes a C-contiguous copy of m[:, :3].T, which is about 2x faster
     than the transposed view, gives every N >= 2 the view's bits, and gives a row the
-    same bits alone as in any batch (tests/test_geometry.py pins both). The offset is
+    same bits alone as in any batch, whatever the layout of rows (tests/test_geometry.py
+    pins all three). It is written into an F-contiguous array, so the divisions, the
+    comparisons and points_in_box read each axis as one contiguous run. The offset is
     added in place.
     """
-    out = rows @ np.ascontiguousarray(m[:, :3].T)
+    out = np.matmul(rows, np.ascontiguousarray(m[:, :3].T), out=np.empty((len(rows), 3), order="F"))
     if m.shape[1] == 4:
         out += m[:, 3]
     return out
@@ -92,12 +94,13 @@ def filter_region(cloud: PointCloud, roi: RegionOfInterest) -> tuple[PointCloud,
 
     Returns the cropped cloud and the index map into the original cloud.
     """
-    x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
-    keep = (
-        (x >= roi.x_min) & (x <= roi.x_max)
-        & (y >= roi.y_min) & (y <= roi.y_max)
-        & (z >= roi.z_min) & (z <= roi.z_max)
-    )
+    x, y, z = cloud.xyz.T  # contiguous axes of a column-major cloud
+    keep = x >= roi.x_min
+    keep &= x <= roi.x_max
+    keep &= y >= roi.y_min
+    keep &= y <= roi.y_max
+    keep &= z >= roi.z_min
+    keep &= z <= roi.z_max
     idx = np.nonzero(keep)[0]
     return _take(cloud, idx), idx
 
@@ -144,5 +147,8 @@ def points_in_box(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
 
 
 def _take(cloud: PointCloud, idx: np.ndarray) -> PointCloud:
-    """The rows `idx` of a cloud, C-contiguous; rows of a valid cloud need no second validation."""
-    return PointCloud._trusted(cloud.xyz.take(idx, axis=0), cloud.reflectance.take(idx))
+    """The rows `idx` of a cloud, in fresh column-major arrays; rows of a valid cloud need no second validation.
+
+    Each axis is gathered as one contiguous run: take along axis 1 of the (3, N) transpose, whose .T is F-contiguous.
+    """
+    return PointCloud._trusted(cloud.xyz.T.take(idx, axis=1).T, cloud.reflectance.take(idx))

@@ -43,15 +43,16 @@ class FusionDims:
 class PointCloud:
     """Ordered 3D point set with per-point reflectance: what a velodyne scan holds.
 
-    xyz: (N, 3) float array, LIDAR frame.
-    reflectance: (N,) float array in [0, 1].
+    xyz: (N, 3) float64 array, LIDAR frame, stored column-major (F-contiguous),
+        so each axis is one contiguous run for the per-point passes that read it.
+    reflectance: (N,) float64 array in [0, 1].
     """
 
     xyz: np.ndarray
     reflectance: np.ndarray
 
     def __post_init__(self) -> None:
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
+        self.xyz = np.asfortranarray(np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3))
         self.reflectance = np.asarray(self.reflectance, dtype=np.float64).reshape(-1)
         if len(self.reflectance) != len(self.xyz):
             raise ValueError(
@@ -65,7 +66,10 @@ class PointCloud:
 
     @classmethod
     def _trusted(cls, xyz: np.ndarray, reflectance: np.ndarray) -> "PointCloud":
-        """A cloud of arrays already in the validated form: float64, finite, reflectance in [0, 1]; no checks run."""
+        """A cloud of arrays already in the validated form; no checks run.
+
+        xyz is an F-contiguous (N, 3) float64 array of finite values, reflectance an (N,) float64 array in [0, 1].
+        """
         cloud = object.__new__(cls)
         cloud.xyz, cloud.reflectance = xyz, reflectance
         return cloud

@@ -149,6 +149,12 @@ class TestSubsample:
         assert len(out) == 5
         assert set(idx.tolist()) >= {0, 1, 2}
 
+    def test_one_point_cloud(self):
+        """A single point is a cloud to sample from, not an empty one: it fills every slot."""
+        out, idx = geometry.subsample(_cloud([[1.0, 2.0, 3.0]]), 4, seed=0)
+        np.testing.assert_array_equal(idx, [0, 0, 0, 0])
+        np.testing.assert_array_equal(out.xyz, np.tile([1.0, 2.0, 3.0], (4, 1)))
+
     def test_seed_determinism(self, rng):
         cloud = _cloud(rng.normal(size=(20000, 3)))
         _, a = geometry.subsample(cloud, 16384, seed=42)
@@ -278,12 +284,16 @@ def _transposed_view_projection(xyz, calib, image_size):
                          ids=["kitti", "plain"])
 @pytest.mark.parametrize("n", [1, 2, 135, 136, 2048, 16384, 49087, 120000])
 def test_projection_rows_are_batch_independent(n, calib, image_size):
-    """A point gets the same bits alone, in any sub-batch and in the whole cloud; N >= 2 gets the reference bits."""
+    """A point gets the same bits alone, in any sub-batch and in the whole cloud, given in C or F order; N >= 2 gets
+    the reference bits."""
     rng = np.random.default_rng(n)
     xyz = rng.uniform((0.0, -40.0, -1.0), (70.4, 40.0, 3.0), size=(n, 3)).astype(np.float32).astype(np.float64)
     edges = min(n, len(CAMERA_PLANE_EDGES))
     xyz[n - edges:] = CAMERA_PLANE_EDGES[:edges]
     whole = _projection_rows(xyz, calib, image_size)
+    # C-ordered and column-major copies of the same points get the same bits
+    assert xyz.flags.c_contiguous
+    assert _bits(*whole) == _bits(*_projection_rows(np.asfortranarray(xyz), calib, image_size))
     if n >= 2:
         assert _bits(*whole) == _bits(*_transposed_view_projection(xyz, calib, image_size))
     rows = np.unique(np.concatenate((rng.integers(0, n, size=24), np.arange(n - edges, n))))
@@ -346,15 +356,24 @@ def test_box_with_a_corner_before_the_near_plane_has_no_extent():
 
 
 def test_cuts_return_contiguous_arrays(rng):
-    """Every cut the CLI makes (ROI, frustum, sample) hands the next stage C-contiguous rows."""
-    cloud = PointCloud(xyz=rng.uniform(-50, 80, size=(500, 3)), reflectance=rng.uniform(0, 1, size=500))
+    """Every cut the CLI makes (ROI, frustum, sample) hands the next stage fresh column-major arrays.
+
+    A cloud built from C-ordered rows is column-major too, and so are camera coordinates, whatever the input's layout.
+    """
+    xyz = rng.uniform(-50, 80, size=(500, 3))
+    cloud = PointCloud(xyz=xyz, reflectance=rng.uniform(0, 1, size=500))
+    assert xyz.flags.c_contiguous and cloud.xyz.flags.f_contiguous and not np.shares_memory(cloud.xyz, xyz)
+    np.testing.assert_array_equal(cloud.xyz, xyz)
+    for rows in (xyz, cloud.xyz):
+        assert geometry.lidar_to_camera(rows, make_calib()).flags.f_contiguous
     roi, _ = geometry.filter_region(cloud, geometry.RegionOfInterest())
     visible = np.nonzero(geometry.project_points(roi, make_calib(), (64, 192)).valid)[0]
     frustum = geometry._take(roi, visible)
     for n in (len(frustum) // 2, 2 * len(frustum)):
         sample, idx = geometry.subsample(frustum, n, seed=3)
-        for cut in (roi, frustum, sample):
-            for a in (cut.xyz, cut.reflectance):
-                assert a.flags.c_contiguous and a.flags.owndata
+        for cut, source in ((roi, cloud), (frustum, roi), (sample, frustum)):
+            assert cut.xyz.flags.f_contiguous and cut.reflectance.flags.contiguous
+            assert not np.shares_memory(cut.xyz, source.xyz)
+            assert not np.shares_memory(cut.reflectance, source.reflectance)
         np.testing.assert_array_equal(sample.xyz, frustum.xyz[idx])
         np.testing.assert_array_equal(sample.reflectance, frustum.reflectance[idx])

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 import struct
 import warnings
 
@@ -70,9 +72,11 @@ class TestVelodyne:
 
     def test_decode_widens_into_contiguous_arrays(self, rng):
         records = np.hstack([rng.uniform(-100, 100, size=(300, 3)), rng.uniform(0, 1, size=(300, 1))]).astype("<f4")
-        cloud = kitti.decode_velodyne(records.tobytes())
+        raw = bytearray(records.tobytes())
+        cloud = kitti.decode_velodyne(raw)
+        assert cloud.xyz.flags.f_contiguous and cloud.reflectance.flags.contiguous  # column-major, as every cloud
         for a in (cloud.xyz, cloud.reflectance):
-            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
+            assert a.dtype == np.float64 and not np.shares_memory(a, np.frombuffer(raw, dtype=np.uint8))
         np.testing.assert_array_equal(cloud.xyz, records[:, :3])
         np.testing.assert_array_equal(cloud.reflectance, records[:, 3])
 
@@ -288,6 +292,16 @@ class TestFeatureMapContainer:
         assert not data.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             data[0, 0, 0] = 2.0
+
+    def test_new_file_takes_the_default_mode(self, tmp_path):
+        """An output is created as open(path, "wb") creates a file: mode 0o666 less the umask, never executable."""
+        path = tmp_path / "m.pacf"
+        umask = os.umask(0o022)
+        try:
+            kitti.write_feature_map(FeatureMap(data=np.zeros((1, 1, 1))), path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.pacf"

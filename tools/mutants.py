@@ -30,6 +30,8 @@ CLI, FUSION, GEOMETRY, GRADCHECK, KDTREE, KITTI, LOSSES, TYPES = (f"src/pacfusio
     "cli", "fusion", "geometry", "gradcheck", "kdtree", "kitti", "losses", "types"))
 PARAMS_IO, REFERENCE_BITS = (f"tests/test_fusion.py::{cls}" for cls in ("TestParamsIO", "TestReferenceBits"))
 ORACLE = "tests/test_kdtree.py::test_oracle_equivalence"
+CUT_LAYOUT = "tests/test_geometry.py::test_cuts_return_contiguous_arrays"
+DECODE_LAYOUT = "tests/test_kitti_io.py::TestVelodyne::test_decode_widens_into_contiguous_arrays"
 WORK = "tests/test_kdtree.py::test_knn_table_work_is_pinned[uniform]"
 ORACLE_CASES = ("uniform", "lattice", "duplicated", "k_above_n", "radius_excludes_all")
 
@@ -148,6 +150,20 @@ MUTANTS = [
     # fields 1-7 of a label line must be finite numbers
     (KITTI, "if not _finite(fields[i]):", "if False:",
      ["tests/test_kitti_io.py::TestLabels::test_bad_unread_field_names_line_and_field"], None),
+    # a cloud's coordinates are column-major: decoded, built from C-ordered rows, cut, and mapped to the camera frame
+    (KITTI, 'np.empty((len(data), 3), order="F")', 'np.empty((len(data), 3), order="C")', [DECODE_LAYOUT], None),
+    (TYPES, "np.asfortranarray(", "np.ascontiguousarray(", [CUT_LAYOUT], None),
+    (GEOMETRY, "cloud.xyz.T.take(idx, axis=1).T", "cloud.xyz.take(idx, axis=0)", [CUT_LAYOUT], None),
+    (GEOMETRY, 'np.empty((len(rows), 3), order="F")', 'np.empty((len(rows), 3), order="C")', [CUT_LAYOUT], None),
+    # a one-point cloud is sampled, not rejected as empty; an output file is created with mode 0o666 less the umask
+    (GEOMETRY, "if len(cloud) == 0:", "if len(cloud) == 1:",
+     ["tests/test_geometry.py::TestSubsample::test_one_point_cloud"], None),
+    (KITTI, "0o666", "0o667",
+     ["tests/test_kitti_io.py::TestFeatureMapContainer::test_new_file_takes_the_default_mode"], None),
+    # the ROI's bounds are closed on every axis
+    *((GEOMETRY, f"{axis} {op} roi.{axis}_{end}\n", f"{axis} {op[0]} roi.{axis}_{end}\n",
+       ["tests/test_geometry.py::TestFilterRegion::test_closed_bounds"], None)
+      for axis in "xyz" for op, end in ((">=", "min"), ("<=", "max"))),
 ]
 
 
