@@ -192,26 +192,23 @@ def cmd_fuse(args) -> int:
     given = [f"--{name}" for name in ("params", "k", "dist") if getattr(args, name) is not None]
     if args.mode == "v2" and given:  # input-level fusion runs no operator and no kNN
         raise ValueError(f"{given[0]} applies to --mode v1 only")
-    k, d = args.k or 3, np.inf if args.dist is None else args.dist
+    if args.params is not None and args.k is not None:  # a checkpoint carries its own K
+        raise ValueError("--k applies to the default operator only; --params takes k from its checkpoint")
     calib = kitti.read_calib(args.calib)
     fmap = kitti.read_feature_map(args.featuremap)
     size = (fmap.height, fmap.width)
     cloud = _prepare_cloud(args, calib, size)
-    if args.mode == "v1":
-        d_i = fmap.channels + 3  # semantic channels and the offset; a scan carries no point features
-        if args.params:
-            params = fusion.load_params(args.params)
-            try:  # checked before the per-point kNN queries
-                params.check_fit(k, d_i)
-            except ValueError as exc:
-                raise ValueError(f"checkpoint {args.params}: {exc} (--k is {k}; the frame gives rows of width"
-                                 f" {d_i} = {fmap.channels} semantic + 0 point channels + 3)") from None
-        else:  # the default operator D_i -> max(D_i, 8) -> 8 always fits
-            params = fusion.init_params(fusion.MlpSpec.default(d_i, 8), k, seed=args.seed)
     # large map values or weights may overflow; the float32 rows written are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         if args.mode == "v1":
-            fused = fusion.fuse_cloud(cloud, fmap, calib, params, d)
+            d_i = fmap.channels + 3  # semantic channels and the offset; a scan carries no point features
+            if args.params is None:  # the default operator D_i -> max(D_i, 8) -> 8 always fits
+                params = fusion.init_params(fusion.MlpSpec.default(d_i, 8), args.k or 3, seed=args.seed)
+            elif (params := fusion.load_params(args.params)).spec.d_i != d_i:  # checked before the per-point kNN
+                raise ValueError(f"checkpoint {args.params}: the parameters take rows of width {params.spec.d_i}"
+                                 f" but the frame gives rows of width {d_i} = {fmap.channels} semantic"
+                                 " + 0 point channels + 3")
+            fused = fusion.fuse_cloud(cloud, fmap, calib, params, np.inf if args.dist is None else args.dist)
         else:  # input-level fusion: each point's retrieved semantics, with no operator
             fused = fusion.retrieve_features(geometry.project_points(cloud, calib, size), fmap)[0]
         rows = fused.astype(np.float32)
@@ -309,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("velodyne")
     p.add_argument("calib")
     p.add_argument("featuremap")
-    p.add_argument("--params", default=None, help="PACW checkpoint; random init of D_i,max(D_i,8),8 if omitted")
+    p.add_argument("--params", default=None,
+                   help="PACW checkpoint, which sets K; random init of D_i,max(D_i,8),8 if omitted")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["v1", "v2"], default="v1")
     _add_common(p)
     _add_neighbors(p)
-    p.set_defaults(func=cmd_fuse, k=None, dist=None)  # None: not given, which v1 reads as K 3 and d inf
+    p.set_defaults(func=cmd_fuse, k=None, dist=None)  # None: not given; v1 reads d as inf, its default operator K as 3
 
     p = sub.add_parser("maskgen", help="sparse mask PGM + per-point label CSV")
     p.add_argument("velodyne")

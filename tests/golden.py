@@ -66,7 +66,7 @@ def _commands() -> dict[str, tuple[list[str], list[str]]]:
         "knn --verify large": knn("large", "--k", "5", "--dist", "1.5", "--verify"),
         "fuse v1 small": fuse("small", "v1", "--seed", "4"),
         "fuse v2 small": fuse("small", "v2", "--seed", "4"),
-        "fuse v1 --params small": fuse("small", "v1", "--params", "small/operator.pacw", "--k", "4", "--seed", "4"),
+        "fuse v1 --params small": fuse("small", "v1", "--params", "small/operator.pacw", "--seed", "4"),
         "fuse v1 large": fuse("large", "v1", "--k", "5", "--dist", "8", "--seed", "2"),
         "fuse v2 large": fuse("large", "v2", "--n-sample", "2000", "--seed", "2"),
         "maskgen small": maskgen("small", "labels", "--n-sample", "900", "--seed", "3"),

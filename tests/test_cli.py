@@ -201,33 +201,41 @@ def test_fuse_with_checkpoint(tmp_path, synthetic_frame):
     assert kitti.read_feature_map(out_path).data.shape[2] == 2 * 3 + 4
 
 
-@pytest.mark.parametrize(
-    "widths, k_ckpt, k_flag, message",
-    [
-        ((4, 6, 3), 3, 5, "the parameters have k=3 but the rows have K=5 (--k is 5;"),
-        ((6, 6, 3), 3, 3, "the parameters take rows of width 6 but the rows have width 4 (--k is 3;"
-                          " the frame gives rows of width 4 = 1 semantic + 0 point channels + 3)"),
-    ],
-    ids=["k", "width"],
-)
-def test_fuse_checkpoint_mismatch_before_knn(synthetic_frame, capsys, monkeypatch, widths, k_ckpt, k_flag, message):
+def test_fuse_takes_k_from_the_checkpoint(synthetic_frame, capsys):
+    """A K = 5 checkpoint with no --k: the file holds fuse_cloud's rows for that checkpoint."""
     f = synthetic_frame
     ckpt = f["dir"] / "params.pacw"
-    fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=widths), k=k_ckpt, seed=5), ckpt)
+    fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=(4, 6, 3)), k=5, seed=5), ckpt)
+    argv = [str(a) for a in PREPARE_ARGV["fuse"](f) + ["--params", ckpt, "--n-sample", 256, "--seed", 1]]
+    code, out = run(argv, capsys)
+    assert (code, out.err) == (cli.EXIT_OK, "")
+    calib, fmap = kitti.read_calib(f["calib_path"]), kitti.read_feature_map(f["featuremap_path"])
+    cloud = cli._prepare_cloud(cli.build_parser().parse_args(argv), calib, (fmap.height, fmap.width))
+    want = fusion.fuse_cloud(cloud, fmap, calib, fusion.load_params(ckpt), np.inf).astype(np.float32)
+    assert kitti.read_feature_map(f["dir"] / "o.pacf").data.tobytes() == want.tobytes()
+
+
+def test_fuse_rejects_k_with_params(synthetic_frame, capsys):
+    """A checkpoint carries its own K, so --k with --params is a usage error before any input is read."""
+    f = synthetic_frame
+    code, out = run(_missing_inputs_fuse(f) + ["--params", f["dir"] / "no.pacw", "--k", 3], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out.err == "error: --k applies to the default operator only; --params takes k from its checkpoint\n"
+
+
+def test_fuse_checkpoint_mismatch_before_knn(synthetic_frame, capsys, monkeypatch):
+    f = synthetic_frame
+    ckpt = f["dir"] / "params.pacw"
+    fusion.save_params(fusion.init_params(fusion.MlpSpec(widths=(6, 6, 3)), k=3, seed=5), ckpt)
 
     def no_knn(*args, **kwargs):
         raise AssertionError("the kNN ran before the checkpoint was checked")
 
     monkeypatch.setattr(fusion, "knn_table", no_knn)
-    code, out = run(
-        [
-            "fuse", f["velodyne"], f["calib_path"], f["featuremap_path"],
-            "--params", ckpt, "--k", k_flag, "--out", f["dir"] / "o.pacf", "--n-sample", 64,
-        ],
-        capsys,
-    )
+    code, out = run(PREPARE_ARGV["fuse"](f) + ["--params", ckpt, "--n-sample", 64], capsys)
     assert code == cli.EXIT_USAGE
-    assert f"checkpoint {ckpt}: {message}" in out.err
+    assert out.err == (f"error: checkpoint {ckpt}: the parameters take rows of width 6 but the frame gives rows of"
+                       " width 4 = 1 semantic + 0 point channels + 3\n")
 
 
 def test_fuse_truncated_checkpoint_exit_code(tmp_path, synthetic_frame):

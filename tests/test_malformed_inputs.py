@@ -195,9 +195,9 @@ def test_mutated_input_rejected_or_valid(frame, name, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_mutated_checkpoint_through_fuse(frame, data):
-    """A mutated PACW checkpoint: exit 2, exit 0, or exit 1 naming --k when its k or width does not fit the frame
-    or naming the PACF operator when its weights make the output overflow float32."""
+    """A mutated PACW checkpoint: exit 2, exit 0, or exit 1 naming the frame's row width when its width does not fit
+    the frame or naming the PACF operator when its weights make the output overflow float32."""
     raw = (frame / "params.pacw").read_bytes()
     path = frame / "mutated.pacw"
     path.write_bytes(data.draw(_mutate(raw, 14 + 4 * len(PACW_WIDTHS))))
-    _check_cli(_fuse(frame, params=path), usage=("--k is", "PACF operator's output overflows"))
+    _check_cli(_fuse(frame, params=path), usage=("the frame gives rows of width", "PACF operator's output overflows"))

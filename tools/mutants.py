@@ -115,6 +115,11 @@ MUTANTS = [
     (CLI, "if value < 0:", "if value < 1:", ["tests/test_cli.py::test_seed_zero_is_the_default"], None),
     (CLI, "if not 1 <= value", "if not 2 <= value", ["tests/test_cli.py::test_count_flag_of_one_runs"], None),
     (CLI, "default=20)", "default=21)", ["tests/test_cli.py::test_gradcheck_checks_20_instances_by_default"], None),
+    # a checkpoint sets its own K, so --k with --params is rejected; a checkpoint of another row width is rejected
+    (CLI, "and args.k is not None:", "and args.k is None:",
+     ["tests/test_cli.py::test_fuse_takes_k_from_the_checkpoint",
+      "tests/test_cli.py::test_fuse_rejects_k_with_params"], None),
+    (CLI, ".spec.d_i != d_i:", ".spec.d_i < d_i:", ["tests/test_cli.py::test_fuse_checkpoint_mismatch_before_knn"], None),
     # an empty scan is named at the ROI crop, not at the frustum filter
     (CLI, "if len(cloud) == 0:\n        raise ValueError(f\"{args.velodyne}: 0 points after",
      "if len(cloud) == 1:\n        raise ValueError(f\"{args.velodyne}: 0 points after",
